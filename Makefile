@@ -1,15 +1,21 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check vet build test race bench bench-query bench-compare \
+.PHONY: all check vet build test race perfbench bench bench-query bench-compare \
 	bench-scale profiles chaos fuzz-smoke cover cover-gate
 
 all: check
 
 # check is the CI gate: vet, build everything, then the full test suite
 # under the race detector (the parallel collection/scan pipeline is
-# exactly the kind of code -race exists for).
-check: vet build race
+# exactly the kind of code -race exists for), then the benchmark module.
+check: vet build race perfbench
+
+# perfbench vets and tests the benchmark, a separate Go module (see
+# perfbench/go.mod) that the root ./... never compiles, so a refactor
+# that breaks what the benchmark builds against fails here.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

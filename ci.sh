@@ -1,10 +1,13 @@
 #!/bin/sh
-# CI gate: vet + build + full test suite under the race detector.
-# Equivalent to `make check`.
+# CI gate: vet + build + full test suite under the race detector, plus
+# the benchmark module. Equivalent to `make check`.
 set -eux
 go vet ./...
 go build ./...
 go test -race ./...
+# The benchmark is its own Go module, outside the root ./...: vet and
+# test it so a change that breaks what it builds against fails CI.
+(cd perfbench && go vet ./... && go test ./...)
 # Fault-injection suite over the fixed seed matrix (see `make chaos`),
 # including the node-loss leg: cluster campaigns (Nodes=3) with a
 # mid-campaign node kill and a control-plane partition per run, under

@@ -48,10 +48,16 @@ var (
 	// ErrUnknownNode rejects control calls from node indices outside
 	// the configured cluster.
 	ErrUnknownNode = errors.New("cluster: unknown node index")
-	// ErrLeaseTableMismatch rejects resuming from a checkpoint whose
-	// lease table does not fit the pipeline (missing cluster section,
-	// or an epoch count that disagrees with the shard decomposition).
-	ErrLeaseTableMismatch = errors.New("cluster: checkpoint lease table does not match shard decomposition")
+	// ErrShardOutOfRange rejects a call naming a shard outside the lease
+	// table's decomposition. It is always wrapped with the shard index
+	// ("cluster: shard 40 out of range"); the transport answers it as a
+	// bad request.
+	ErrShardOutOfRange = errors.New("out of range")
+	// ErrLeaseTableMismatch rejects a lease table that does not fit the
+	// pipeline's shard decomposition: a checkpoint with no cluster
+	// section or the wrong epoch count, or a fabric granting shards a
+	// node replica does not have.
+	ErrLeaseTableMismatch = errors.New("cluster: lease table does not match shard decomposition")
 	// ErrTruncatedCheckpoint rejects a framed coordinator checkpoint
 	// whose body is cut short or fails its integrity check.
 	ErrTruncatedCheckpoint = errors.New("cluster: coordinator checkpoint truncated or corrupt")
@@ -113,6 +119,14 @@ type Config struct {
 	// serving a coordinator requires constructing it first, transport
 	// wiring usually goes NewCoordinator → serve → SetDial.
 	Dial func(node int) API
+}
+
+// checkNode rejects node indices outside the configured cluster.
+func (c *Config) checkNode(node int) error {
+	if node < 0 || node >= c.Nodes {
+		return ErrUnknownNode
+	}
+	return nil
 }
 
 func (c *Config) fillDefaults(pipelineWorkers int) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -9,17 +10,11 @@ import (
 	"ntpscan/internal/obs"
 )
 
-// lease is one shard's control-plane state: who holds it, under which
-// fencing epoch, and through which slice the grant stays valid.
-type lease struct {
-	holder  int // node index, -1 unowned
-	epoch   uint64
-	expires int // grant valid while slice < expires
-}
-
-// Coordinator owns the campaign's control plane: the lease table over
-// the shard decomposition, node liveness, the fencing epochs, and the
-// cluster section of the campaign checkpoint. It implements API and
+// Coordinator owns the campaign's control plane: node liveness on the
+// heartbeat clock, the slice dispatcher, and the cluster section of the
+// campaign checkpoint. Leases, fencing and placement are the shared
+// leaseTable's; the Coordinator decides only when they move — a missed
+// heartbeat expires a node's leases at once. It implements API and
 // plugs into the campaign as its slice dispatcher.
 //
 // Every control decision is a pure function of (fault plan, slice,
@@ -38,10 +33,11 @@ type Coordinator struct {
 	Obs *obs.Registry
 	met *metrics
 
-	mu    sync.Mutex
-	table []lease
+	leases *leaseTable
+
+	mu    sync.Mutex // seen and views, written by API calls
 	live  []bool
-	seen  []bool   // node has claimed at least once (Claim vs Heartbeat)
+	seen  []bool    // node has claimed at least once (Claim vs Heartbeat)
 	views [][]Grant // each node's last-received grant list (its lease belief)
 
 	apis []API // per-node control handles (fault seam over Dial or self)
@@ -50,24 +46,17 @@ type Coordinator struct {
 // NewCoordinator builds the control plane for a pipeline. The
 // pipeline must not have started a campaign yet.
 func NewCoordinator(p *core.Pipeline, cfg Config) (*Coordinator, error) {
-	if p.Cfg.FullPacketNTP {
-		return nil, fmt.Errorf("cluster: FullPacketNTP campaigns cannot be dispatched across nodes")
-	}
 	cfg.fillDefaults(p.Cfg.Workers)
 	c := &Coordinator{
 		p:     p,
 		cfg:   cfg,
 		Obs:   obs.NewRegistry(),
-		table: make([]lease, p.Cfg.CollectShards),
 		live:  make([]bool, cfg.Nodes),
 		seen:  make([]bool, cfg.Nodes),
 		views: make([][]Grant, cfg.Nodes),
 	}
-	for i := range c.table {
-		// Epochs start at 1 so a zero value never passes the fence.
-		c.table[i] = lease{holder: -1, epoch: 1}
-	}
 	c.met = newMetrics(c.Obs, cfg.Nodes)
+	c.leases = newLeaseTable(p.Cfg.CollectShards, cfg.LeaseTTL, c.met)
 	return c, nil
 }
 
@@ -136,34 +125,19 @@ func (c *Coordinator) campaignOpts(opts core.CampaignOpts) core.CampaignOpts {
 
 // state snapshots the coordinator's checkpoint section.
 func (c *Coordinator) state() *core.ClusterState {
-	c.mu.Lock()
-	epochs := make([]uint64, len(c.table))
-	for i := range c.table {
-		epochs[i] = c.table[i].epoch
-	}
-	c.mu.Unlock()
-	return &core.ClusterState{Epochs: epochs, Obs: c.Obs.Snapshot()}
+	return &core.ClusterState{Epochs: c.leases.epochs(), Obs: c.Obs.Snapshot()}
 }
 
 // restore validates and applies a checkpoint's cluster section: the
-// fencing epochs continue from the interrupted run (stragglers fenced
-// before the interruption stay fenced after it), and the cluster
+// fencing epochs continue from the interrupted run, and the cluster
 // registry resumes its counter sequence.
 func (c *Coordinator) restore(cp *core.Checkpoint) error {
 	if cp.Cluster == nil {
 		return fmt.Errorf("%w: checkpoint carries no cluster section", ErrLeaseTableMismatch)
 	}
-	if len(cp.Cluster.Epochs) != len(c.table) {
-		return fmt.Errorf("%w: checkpoint has %d epochs, pipeline has %d shards",
-			ErrLeaseTableMismatch, len(cp.Cluster.Epochs), len(c.table))
+	if err := c.leases.restore(cp.Cluster.Epochs); err != nil {
+		return err
 	}
-	c.mu.Lock()
-	for i, e := range cp.Cluster.Epochs {
-		c.table[i].epoch = e
-		c.table[i].holder = -1
-		c.table[i].expires = 0
-	}
-	c.mu.Unlock()
 	c.Obs.Restore(cp.Cluster.Obs)
 	return nil
 }
@@ -172,128 +146,58 @@ func (c *Coordinator) restore(cp *core.Checkpoint) error {
 // node's stale lease belief is discarded and replaced with its current
 // grants.
 func (c *Coordinator) Claim(node, slice int) ([]Grant, error) {
-	if node < 0 || node >= c.cfg.Nodes {
-		return nil, ErrUnknownNode
+	if err := c.cfg.checkNode(node); err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.seen[node] = true
-	return c.renewLocked(node, slice), nil
+	c.mu.Unlock()
+	return c.leases.renew(node, slice), nil
 }
 
 // Heartbeat implements API: renews the node's leases and returns them
 // with a fresh expiry.
 func (c *Coordinator) Heartbeat(node, slice int) ([]Grant, error) {
-	if node < 0 || node >= c.cfg.Nodes {
-		return nil, ErrUnknownNode
+	if err := c.cfg.checkNode(node); err != nil {
+		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.renewLocked(node, slice), nil
+	return c.leases.renew(node, slice), nil
 }
 
-// renewLocked re-grants every lease the node holds, valid through
-// slice+TTL.
-func (c *Coordinator) renewLocked(node, slice int) []Grant {
-	var grants []Grant
-	for sh := range c.table {
-		l := &c.table[sh]
-		if l.holder != node {
-			continue
-		}
-		l.expires = slice + c.cfg.LeaseTTL
-		grants = append(grants, Grant{Shard: sh, Epoch: l.epoch, ExpiresSlice: l.expires})
-	}
-	c.met.granted.Add(int64(len(grants)))
-	return grants
-}
-
-// SubmitSlice implements API: the fencing gate. A submission under the
-// shard's current epoch by its current holder is accepted for the
-// barrier; anything else — a zombie node's work after its lease
-// expired, a straggler from before a resume — is rejected with
-// ErrStaleEpoch and must be rolled back by the caller.
+// SubmitSlice implements API: the lease table's fencing gate. A
+// rejected submission must be rolled back by the caller. Either way
+// the task leaves flight.
 func (c *Coordinator) SubmitSlice(node, shard, slice int, epoch uint64) error {
-	if node < 0 || node >= c.cfg.Nodes {
-		return ErrUnknownNode
+	if err := c.cfg.checkNode(node); err != nil {
+		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if shard < 0 || shard >= len(c.table) {
-		return fmt.Errorf("cluster: shard %d out of range", shard)
-	}
-	l := &c.table[shard]
-	if l.holder != node || l.epoch != epoch {
-		c.met.fenced.Inc()
+	err := c.leases.submit(node, shard, slice, epoch)
+	if !errors.Is(err, ErrShardOutOfRange) {
 		c.met.inflight.Add(-1)
-		return fmt.Errorf("%w: shard %d slice %d epoch %d from node %d (current epoch %d, holder %d)",
-			ErrStaleEpoch, shard, slice, epoch, node, l.epoch, l.holder)
 	}
-	c.met.completed.Inc()
-	c.met.inflight.Add(-1)
-	return nil
+	return err
 }
 
-// Release implements API: voluntary lease handover. Epochs advance so
-// any straggler submission under the released leases still fences.
+// Release implements API: voluntary lease handover.
 func (c *Coordinator) Release(node int) error {
-	if node < 0 || node >= c.cfg.Nodes {
-		return ErrUnknownNode
+	if err := c.cfg.checkNode(node); err != nil {
+		return err
 	}
+	c.leases.release(node)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for sh := range c.table {
-		l := &c.table[sh]
-		if l.holder == node {
-			l.holder = -1
-			l.epoch++
-			c.met.released.Inc()
-		}
-	}
 	c.views[node] = nil
+	c.mu.Unlock()
 	return nil
 }
 
-// expireLocked fences every lease the node holds: epoch bump (the
-// fence), holder cleared, expiry counted.
-func (c *Coordinator) expireLocked(node int) (freed int) {
-	for sh := range c.table {
-		l := &c.table[sh]
-		if l.holder == node {
-			l.holder = -1
-			l.epoch++
-			c.met.expired.Inc()
-			freed++
-		}
-	}
-	return freed
-}
-
-// rebalanceLocked assigns every unowned shard across the live nodes in
-// contiguous runs, node order — the deterministic placement rule.
-func (c *Coordinator) rebalanceLocked(slice int) {
-	var unowned []int
-	for sh := range c.table {
-		if c.table[sh].holder < 0 {
-			unowned = append(unowned, sh)
-		}
-	}
-	if len(unowned) == 0 {
-		return
-	}
-	var liveNodes []int
+// liveNodes lists the nodes whose last heartbeat arrived, in node
+// order — the placement candidates.
+func (c *Coordinator) liveNodes() []int {
+	var live []int
 	for n, ok := range c.live {
 		if ok {
-			liveNodes = append(liveNodes, n)
+			live = append(live, n)
 		}
 	}
-	if len(liveNodes) == 0 {
-		return // coordinator fallback handles execution this slice
-	}
-	for i, sh := range unowned {
-		n := liveNodes[i*len(liveNodes)/len(unowned)]
-		l := &c.table[sh]
-		l.holder = n
-		l.expires = slice + c.cfg.LeaseTTL
-	}
+	return live
 }

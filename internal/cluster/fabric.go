@@ -8,10 +8,9 @@ import (
 )
 
 // Fabric is the standalone lease service for multi-process clusters:
-// the same lease table, fencing epochs, and contiguous-placement rule
-// as the in-process Coordinator, but with no pipeline and no dispatch
-// loop — authority is decided purely by the calls that arrive over the
-// wire. cmd/clusterd serves one Fabric; node processes (RunNode) each
+// the same leaseTable as the in-process Coordinator, but with no
+// pipeline and no dispatch loop — authority is decided purely by the
+// calls that arrive over the wire. cmd/clusterd serves one Fabric; node processes (RunNode) each
 // run a full deterministic campaign replica and use their grants only
 // to decide which shard-slice submissions they are authoritative for.
 //
@@ -20,29 +19,29 @@ import (
 // sweep at the front of every call fences any lease whose holder has
 // not renewed it past the caller's slice. A node that crashes or
 // partitions simply stops renewing; LeaseTTL slices later its shards
-// fence and rebalance to nodes still calling in. This is the same
-// fencing guarantee on a lazier clock: a zombie's submissions carry
-// the pre-bump epoch and are rejected exactly as the Coordinator
-// rejects them.
+// fence and are placed on nodes still calling in. Same table, same
+// fencing gate, on a lazier clock.
 type Fabric struct {
 	cfg Config
 
 	// Obs carries the same cluster_* lease and fencing families the
 	// Coordinator exposes, plus heartbeat arrival counts per node.
-	Obs *obs.Registry
-	met *metrics
+	Obs    *obs.Registry
+	met    *metrics
+	leases *leaseTable
 
-	mu    sync.Mutex
-	table []lease
-	heard []int // highest slice each node has called in at (-1 never)
-	swept int   // highest slice the expiry sweep has run for
+	mu    sync.Mutex // serializes calls: heard, swept, and sweep-then-act
+	heard []int      // highest slice each node has called in at (-1 never)
+	swept int        // highest slice the expiry sweep has run for
 }
 
 // NewFabric builds a lease service over a decomposition of `shards`
 // shards for cfg.Nodes nodes. Unlike NewCoordinator it needs no
 // pipeline — only the shard count, which must match the decomposition
-// the node processes run (CollectShards), or their submissions will be
-// rejected as out of range.
+// the node processes run (CollectShards). A larger fabric grants
+// shards a replica does not have, which RunNode rejects with
+// ErrLeaseTableMismatch; a smaller one leaves the replicas' extra
+// shards without an authoritative node.
 func NewFabric(shards int, cfg Config) (*Fabric, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("cluster: fabric needs at least one shard, got %d", shards)
@@ -51,17 +50,14 @@ func NewFabric(shards int, cfg Config) (*Fabric, error) {
 	f := &Fabric{
 		cfg:   cfg,
 		Obs:   obs.NewRegistry(),
-		table: make([]lease, shards),
 		heard: make([]int, cfg.Nodes),
 		swept: -1,
-	}
-	for i := range f.table {
-		f.table[i] = lease{holder: -1, epoch: 1} // epoch 0 never passes the fence
 	}
 	for i := range f.heard {
 		f.heard[i] = -1
 	}
 	f.met = newMetrics(f.Obs, cfg.Nodes)
+	f.leases = newLeaseTable(shards, cfg.LeaseTTL, f.met)
 	return f, nil
 }
 
@@ -70,8 +66,8 @@ func (f *Fabric) Nodes() int { return f.cfg.Nodes }
 
 // checkNode validates and records the caller.
 func (f *Fabric) checkNode(node, slice int) error {
-	if node < 0 || node >= f.cfg.Nodes {
-		return ErrUnknownNode
+	if err := f.cfg.checkNode(node); err != nil {
+		return err
 	}
 	if slice > f.heard[node] {
 		f.heard[node] = slice
@@ -80,61 +76,23 @@ func (f *Fabric) checkNode(node, slice int) error {
 }
 
 // sweepLocked advances the expiry clock to slice: every lease not
-// renewed past it fences (epoch bump), then unowned shards rebalance
-// contiguously over the nodes heard from recently — within LeaseTTL
-// slices, the same window a lease survives without renewal.
+// renewed past it fences, then unowned shards are placed over the
+// nodes heard from recently — within LeaseTTL slices, the same window
+// a lease survives without renewal.
 func (f *Fabric) sweepLocked(slice int) {
 	if slice <= f.swept {
 		return
 	}
 	f.swept = slice
-	for sh := range f.table {
-		l := &f.table[sh]
-		if l.holder >= 0 && l.expires <= slice {
-			l.holder = -1
-			l.epoch++
-			f.met.expired.Inc()
-		}
-	}
+	f.leases.expireBy(slice)
 	var live []int
-	liveCount := 0
 	for n, h := range f.heard {
 		if h >= 0 && h >= slice-f.cfg.LeaseTTL {
 			live = append(live, n)
-			liveCount++
 		}
 	}
-	f.met.live.Set(int64(liveCount))
-	var unowned []int
-	for sh := range f.table {
-		if f.table[sh].holder < 0 {
-			unowned = append(unowned, sh)
-		}
-	}
-	if len(unowned) == 0 || len(live) == 0 {
-		return
-	}
-	for i, sh := range unowned {
-		l := &f.table[sh]
-		l.holder = live[i*len(live)/len(unowned)]
-		l.expires = slice + f.cfg.LeaseTTL
-	}
-}
-
-// renewLocked re-grants every lease node holds, valid through
-// slice+TTL — identical to the Coordinator's renewal.
-func (f *Fabric) renewLocked(node, slice int) []Grant {
-	var grants []Grant
-	for sh := range f.table {
-		l := &f.table[sh]
-		if l.holder != node {
-			continue
-		}
-		l.expires = slice + f.cfg.LeaseTTL
-		grants = append(grants, Grant{Shard: sh, Epoch: l.epoch, ExpiresSlice: l.expires})
-	}
-	f.met.granted.Add(int64(len(grants)))
-	return grants
+	f.met.live.Set(int64(len(live)))
+	f.leases.place(live, slice)
 }
 
 // Claim implements API: registration or rejoin. The sweep runs first
@@ -147,7 +105,7 @@ func (f *Fabric) Claim(node, slice int) ([]Grant, error) {
 	}
 	f.met.heartbeats.Inc(node)
 	f.sweepLocked(slice)
-	return f.renewLocked(node, slice), nil
+	return f.leases.renew(node, slice), nil
 }
 
 // Heartbeat implements API: renewal. Same motion as Claim — the
@@ -157,46 +115,30 @@ func (f *Fabric) Heartbeat(node, slice int) ([]Grant, error) {
 	return f.Claim(node, slice)
 }
 
-// SubmitSlice implements API: the fencing gate, byte-for-byte the
-// Coordinator's rule — current holder under the current epoch or
-// ErrStaleEpoch.
+// SubmitSlice implements API: the lease table's fencing gate, after
+// the sweep has caught up to the caller's slice.
 func (f *Fabric) SubmitSlice(node, shard, slice int, epoch uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.checkNode(node, slice); err != nil {
 		return err
 	}
-	if shard < 0 || shard >= len(f.table) {
-		return fmt.Errorf("cluster: shard %d out of range", shard)
+	if err := f.leases.checkShard(shard); err != nil {
+		return err
 	}
 	f.sweepLocked(slice)
-	l := &f.table[shard]
 	f.met.claimed.Inc()
-	if l.holder != node || l.epoch != epoch {
-		f.met.fenced.Inc()
-		return fmt.Errorf("%w: shard %d slice %d epoch %d from node %d (current epoch %d, holder %d)",
-			ErrStaleEpoch, shard, slice, epoch, node, l.epoch, l.holder)
-	}
-	f.met.completed.Inc()
-	return nil
+	return f.leases.submit(node, shard, slice, epoch)
 }
 
-// Release implements API: voluntary handover with the usual epoch
-// bump, so any straggler submission under the released leases fences.
+// Release implements API: voluntary handover.
 func (f *Fabric) Release(node int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if node < 0 || node >= f.cfg.Nodes {
-		return ErrUnknownNode
+	if err := f.cfg.checkNode(node); err != nil {
+		return err
 	}
-	for sh := range f.table {
-		l := &f.table[sh]
-		if l.holder == node {
-			l.holder = -1
-			l.epoch++
-			f.met.released.Inc()
-		}
-	}
+	f.leases.release(node)
 	return nil
 }
 

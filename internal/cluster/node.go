@@ -7,42 +7,26 @@ import (
 	"ntpscan/internal/core"
 )
 
-// node is one in-process campaign node: an executor over its granted
-// shards with a bounded worker pool. Nodes are deliberately stateless
-// beyond their grant list — shard state lives with the pipeline, and a
-// rejoining node re-Claims rather than trusting its memory.
-type node struct {
-	id      int
-	grants  []Grant
-	workers int
-}
-
-// execute runs the node's granted shard tasks (worker-pool, dynamic
-// pickup) and submits each through the fencing gate. A live node's
-// submission fencing is a protocol invariant violation, not a runtime
-// condition — the coordinator only dispatches to nodes whose leases it
-// just renewed — so it panics rather than silently dropping work.
-func (n *node) execute(api API, slice int, shards []core.ShardRef, run func(core.ShardRef)) {
-	w := n.workers
-	if w > len(n.grants) {
-		w = len(n.grants)
+// runPool runs task(0..n-1) on up to workers goroutines with dynamic
+// pickup and returns when all are done. Tasks are independent, so
+// pickup order never matters. Both node shapes execute through it: an
+// in-process node over its granted tasks, a replica over every shard.
+func runPool(n, workers int, task func(i int)) {
+	if workers > n {
+		workers = n
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				t := int(next.Add(1)) - 1
-				if t >= len(n.grants) {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				g := n.grants[t]
-				run(shards[g.Shard])
-				if err := api.SubmitSlice(n.id, g.Shard, slice, g.Epoch); err != nil {
-					panic("cluster: live node's submission fenced: " + err.Error())
-				}
+				task(i)
 			}
 		}()
 	}
@@ -107,13 +91,11 @@ func (c *Coordinator) dispatch(s int, shards []core.ShardRef, run func(core.Shar
 	c.met.live.Set(int64(liveCount))
 
 	// Phase 2: expire (fence) everything held by a node that missed.
-	c.mu.Lock()
 	for n := 0; n < nodes; n++ {
 		if !c.live[n] {
-			c.expireLocked(n)
+			c.leases.expire(n)
 		}
 	}
-	c.mu.Unlock()
 
 	// Phase 3: zombie executions by partitioned nodes, fenced and
 	// rolled back. Runs strictly before live execution so `run` is
@@ -163,9 +145,7 @@ func (c *Coordinator) dispatch(s int, shards []core.ShardRef, run func(core.Shar
 			}
 			break
 		}
-		c.mu.Lock()
-		c.rebalanceLocked(s)
-		c.mu.Unlock()
+		c.leases.place(c.liveNodes(), s)
 		tasks := make([][]Grant, nodes)
 		executing := make([]bool, nodes)
 		for n := 0; n < nodes; n++ {
@@ -204,20 +184,26 @@ func (c *Coordinator) dispatch(s int, shards []core.ShardRef, run func(core.Shar
 				// the pool for the survivors.
 				c.met.lost.Add(k)
 				c.met.inflight.Add(-k)
-				c.mu.Lock()
-				c.expireLocked(n)
-				c.mu.Unlock()
+				c.leases.expire(n)
 				c.live[n] = false
 				c.views[n] = nil
 				liveCount--
 				continue
 			}
 			executing[n] = true
-			nd := &node{id: n, grants: tasks[n], workers: c.cfg.WorkersPerNode}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				nd.execute(apis[n], s, shards, run)
+				// A live node's submission fencing is a protocol invariant
+				// violation, not a runtime condition — its leases were
+				// just renewed — so it panics rather than dropping work.
+				runPool(len(tasks[n]), c.cfg.WorkersPerNode, func(i int) {
+					g := tasks[n][i]
+					run(shards[g.Shard])
+					if err := apis[n].SubmitSlice(n, g.Shard, s, g.Epoch); err != nil {
+						panic("cluster: live node's submission fenced: " + err.Error())
+					}
+				})
 			}()
 		}
 		wg.Wait()

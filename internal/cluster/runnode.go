@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"ntpscan/internal/analysis"
 	"ntpscan/internal/core"
@@ -33,15 +31,19 @@ import (
 //     re-Claims on the next successful contact.
 //   - ErrStaleEpoch on submission means another node now holds the
 //     shard; the submission is simply not authoritative. Not an error.
-//   - ErrUnknownNode or a bad-request rejection is a configuration
-//     mismatch (wrong node index, wrong shard decomposition) and aborts
-//     the campaign through the dispatch error path.
+//   - Two configuration mismatches abort the campaign through the
+//     dispatch error path: ErrUnknownNode (the fabric does not know
+//     this node index), and a grant for a shard this replica does not
+//     have, returned as ErrLeaseTableMismatch (the fabric was built
+//     with more shards than CollectShards). A fabric with fewer shards
+//     than the replica cannot be detected without a wire change: its
+//     grants all fit, and the replica's extra shards simply never get
+//     an authoritative node.
+//   - Any other control error, a bad-request answer included, is
+//     tolerated like a transport failure and counted as Offline.
 //
 // The returned NodeStats summarize the node's view of the protocol.
 func RunNode(ctx context.Context, p *core.Pipeline, api API, nodeID int, cfg Config, opts core.CampaignOpts) (*analysis.Dataset, *NodeStats, error) {
-	if p.Cfg.FullPacketNTP {
-		return nil, nil, fmt.Errorf("cluster: FullPacketNTP campaigns cannot be dispatched across nodes")
-	}
 	cfg.fillDefaults(p.Cfg.Workers)
 	if nodeID < 0 || nodeID >= cfg.Nodes {
 		return nil, nil, fmt.Errorf("%w: node %d of %d", ErrUnknownNode, nodeID, cfg.Nodes)
@@ -99,6 +101,12 @@ func (d *nodeDriver) dispatch(s int, shards []core.ShardRef, run func(core.Shard
 	}
 	switch {
 	case err == nil:
+		for _, g := range grants {
+			if g.Shard < 0 || g.Shard >= len(shards) {
+				return fmt.Errorf("%w: fabric granted node %d shard %d, the replica runs %d shards",
+					ErrLeaseTableMismatch, d.id, g.Shard, len(shards))
+			}
+		}
 		d.claimed, d.offline = true, false
 		d.view = grants
 		d.stats.Granted += int64(len(grants))
@@ -110,31 +118,8 @@ func (d *nodeDriver) dispatch(s int, shards []core.ShardRef, run func(core.Shard
 		d.stats.Offline++
 	}
 
-	// Execute every shard — the replica's whole point. Worker pool with
-	// dynamic pickup, same shape as the in-process node executor.
-	w := d.workers
-	if w > len(shards) {
-		w = len(shards)
-	}
-	if w < 1 {
-		w = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= len(shards) {
-					return
-				}
-				run(shards[t])
-			}
-		}()
-	}
-	wg.Wait()
+	// Execute every shard — the replica's whole point.
+	runPool(len(shards), d.workers, func(i int) { run(shards[i]) })
 	d.stats.Executed += int64(len(shards))
 
 	// Submit the shard-slices we believe we hold. A grant view past its

@@ -143,6 +143,25 @@ func TestRunNodeUnknownNodeAborts(t *testing.T) {
 	}
 }
 
+// A fabric built with more shards than the replica's decomposition
+// grants shards that do not exist locally: the campaign aborts with
+// ErrLeaseTableMismatch instead of submitting them as accepted.
+func TestRunNodeOversizedFabricAborts(t *testing.T) {
+	p := core.NewPipeline(nodeTestConfig(5))
+	fab, err := NewFabric(2*p.Cfg.CollectShards, Config{Nodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := RunNode(context.Background(), p, fab, 0, Config{Nodes: 1}, core.CampaignOpts{})
+	if !errors.Is(err, ErrLeaseTableMismatch) {
+		t.Fatalf("RunNode against a %d-shard fabric = %v, want ErrLeaseTableMismatch",
+			2*p.Cfg.CollectShards, err)
+	}
+	if stats.Accepted != 0 {
+		t.Errorf("replica had %d submissions accepted under a mismatched table", stats.Accepted)
+	}
+}
+
 // flakyAPI fails every control call in [fromSlice, toSlice) with a
 // transport-style error, mimicking a coordinator restart window.
 type flakyAPI struct {

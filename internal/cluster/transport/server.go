@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"strings"
 
 	"ntpscan/internal/cluster"
 	"ntpscan/internal/obs"
@@ -138,7 +137,7 @@ func apiError(err error) (int, string) {
 		return http.StatusConflict, codeStaleEpoch
 	case errors.Is(err, cluster.ErrUnknownNode):
 		return http.StatusNotFound, codeUnknownNode
-	case strings.Contains(err.Error(), "out of range"):
+	case errors.Is(err, cluster.ErrShardOutOfRange):
 		return http.StatusBadRequest, codeBadRequest
 	}
 	return http.StatusInternalServerError, codeInternal

@@ -59,7 +59,7 @@ func (a *scriptAPI) Heartbeat(node, slice int) ([]cluster.Grant, error) {
 func (a *scriptAPI) SubmitSlice(node, shard, slice int, epoch uint64) error {
 	a.record(fmt.Sprintf("submit %d %d %d %d", node, shard, slice, epoch))
 	if shard < 0 || shard >= 8 {
-		return fmt.Errorf("cluster: shard %d out of range", shard)
+		return fmt.Errorf("cluster: shard %d %w", shard, cluster.ErrShardOutOfRange)
 	}
 	if epoch != 7 {
 		return fmt.Errorf("%w: shard %d slice %d epoch %d from node %d (current epoch 7, holder 0)",
@@ -330,6 +330,24 @@ func TestWireErrorCodeTable(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "new_fangled") || !strings.Contains(err.Error(), "later") {
 		t.Errorf("unknown-code error %q drops the code or detail", err)
+	}
+
+	// Server side: the 400 is decided by the typed sentinel, not by the
+	// message text.
+	serverCases := []struct {
+		err    error
+		status int
+		code   string
+	}{
+		{fmt.Errorf("cluster: shard %d %w", 40, cluster.ErrShardOutOfRange), http.StatusBadRequest, codeBadRequest},
+		{errors.New("cluster: index out of range in some other table"), http.StatusInternalServerError, codeInternal},
+		{fmt.Errorf("%w: shard 1", cluster.ErrStaleEpoch), http.StatusConflict, codeStaleEpoch},
+		{fmt.Errorf("%w: node 9", cluster.ErrUnknownNode), http.StatusNotFound, codeUnknownNode},
+	}
+	for _, tc := range serverCases {
+		if status, code := apiError(tc.err); status != tc.status || code != tc.code {
+			t.Errorf("apiError(%q) = %d %q, want %d %q", tc.err, status, code, tc.status, tc.code)
+		}
 	}
 }
 

@@ -139,7 +139,7 @@ func (p *Pipeline) makeCollectShards() []*collectShard {
 				// per fleet, whichever path served the request.
 				Metrics: sh.ntpMet,
 				Capture: func(client netip.AddrPort, at time.Time) {
-					p.recordCaptureShard(sh, client.Addr(), vi, at)
+					p.recordCapture(sh, client.Addr(), vi)
 				},
 			})
 		}
@@ -246,10 +246,7 @@ func (p *Pipeline) collectFrom(startSlice int, batch func([]netip.Addr), drain f
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-	if workers < 1 || p.Cfg.FullPacketNTP {
-		// FullPacketNTP captures arrive through the fabric-registered
-		// vantage server, whose hook routes via p.activeShard — shards
-		// must run one at a time.
+	if workers < 1 {
 		workers = 1
 	}
 
@@ -415,10 +412,9 @@ func (p *Pipeline) vantageUp(vs *VantageServer) bool {
 
 // runShards executes one slice across the shard set with up to workers
 // goroutines. Shards are picked up dynamically (they are independent,
-// so pickup order is irrelevant); with workers == 1 they run in order,
-// with activeShard routing for the FullPacketNTP fabric hook. A
-// campaign dispatcher, when installed, replaces the pool wholesale —
-// the cluster path, where leased nodes decide who runs what.
+// so pickup order is irrelevant). A campaign dispatcher, when
+// installed, replaces the pool wholesale — the cluster path, where
+// leased nodes decide who runs what.
 func (p *Pipeline) runShards(shards []*collectShard, workers, s, slices int, quotas []collectQuota) {
 	if p.dispatch != nil {
 		if p.dispatchErr != nil {
@@ -433,16 +429,6 @@ func (p *Pipeline) runShards(shards []*collectShard, workers, s, slices int, quo
 		}); err != nil {
 			p.dispatchErr = err
 		}
-		return
-	}
-	if workers <= 1 {
-		for _, sh := range shards {
-			if p.Cfg.FullPacketNTP {
-				p.activeShard = sh
-			}
-			p.runShardSlice(sh, s, slices, len(shards), quotas)
-		}
-		p.activeShard = nil
 		return
 	}
 	var next atomic.Int64
@@ -467,7 +453,6 @@ func (p *Pipeline) runShards(shards []*collectShard, workers, s, slices int, quo
 // of every country's volume quota, then its subset of the responsive
 // population.
 func (p *Pipeline) runShardSlice(sh *collectShard, s, slices, nshards int, quotas []collectQuota) {
-	clock := p.W.Clock()
 	for _, q := range quotas {
 		if !p.vantageUp(q.vs) {
 			// Drained by the monitor: no sync lands on this vantage
@@ -486,21 +471,7 @@ func (p *Pipeline) runShardSlice(sh *collectShard, s, slices, nshards int, quota
 			sn++
 		}
 		sh.volumeStats = true
-		if p.Cfg.FullPacketNTP {
-			// Full UDP exchanges stay per-event: each sync is its own
-			// round-trip on the fabric.
-			for i := 0; i < sn; i++ {
-				gid := p.W.SampleClientID(q.vs.Country, sh.vol)
-				if gid < 0 {
-					continue
-				}
-				dev := sh.arena.Device(gid)
-				addr := p.W.CurrentAddr(dev, clock.Now())
-				p.captureVia(sh, q.vs, addr)
-			}
-		} else {
-			p.volumeBatch(sh, q.vs, sn)
-		}
+		p.volumeBatch(sh, q.vs, sn)
 		sh.volumeStats = false
 	}
 	p.responsiveShardSlice(sh, s, slices, nshards)

@@ -78,12 +78,6 @@ type Config struct {
 	// probes.
 	Timeout    time.Duration
 	UDPTimeout time.Duration
-	// FullPacketNTP routes every capture through a complete UDP
-	// exchange on the fabric instead of the codec fast path. Slower,
-	// and collection shards run one at a time (the fabric-side capture
-	// hook cannot tag a shard); used by tests and small demos to prove
-	// equivalence.
-	FullPacketNTP bool
 	// Faults, when set, is installed on the fabric at construction: the
 	// campaign runs under the plan's scheduled outages, loss bursts,
 	// slow links and garbled banners. The (Seed, Faults) pair defines
@@ -183,9 +177,6 @@ type Pipeline struct {
 	Captures   int            // total capture events
 
 	rng *rng.Stream
-	// onAddr is invoked for every captured address (duplicates
-	// included) — the real-time scan feed hook.
-	onAddr func(netip.Addr)
 	// respCache memoises the responsive NTP population.
 	respCache []*world.Device
 
@@ -204,12 +195,6 @@ type Pipeline struct {
 	euiShards   *analysis.ShardedEUI64Stats
 	captures    atomic.Int64
 	perCountryN []atomic.Int64
-
-	// activeShard routes fabric-side capture hooks to the collection
-	// shard being driven. Only the FullPacketNTP path uses it — the
-	// registered vantage server's hook cannot tag a shard, so shards
-	// run one at a time in that mode.
-	activeShard *collectShard
 
 	// respCaptured tracks which responsive devices have had their
 	// guaranteed first capture. Indexed like responsive(); shard i owns
@@ -303,12 +288,12 @@ func (p *Pipeline) deployServers() {
 		country := spec.Code
 		addr := ipv6x.FromParts(0x2a10_0000_0000_0000|uint64(c.Index)<<32, 0x123)
 		vs := &VantageServer{ID: "ours-" + country, Country: country, Addr: addr, idx: len(p.Servers)}
+		// The fabric-registered server answers full UDP exchanges (the
+		// reference the codec fast path is tested against); captures
+		// come only from the shards' clones of it.
 		srv := ntp.NewServer(ntp.ServerConfig{
 			Now:     p.W.Clock().Now,
 			Metrics: p.met.ntp,
-			Capture: func(client netip.AddrPort, at time.Time) {
-				p.recordCapture(client.Addr(), vs.idx, at)
-			},
 		})
 		vs.NTP = srv
 		p.W.Fabric().Register(addr, netsim.NewHost("vantage-"+country).HandleUDP(ntp.Port, srv.Handle))
@@ -354,39 +339,23 @@ func (p *Pipeline) ServerByCountry(code string) (*VantageServer, bool) {
 	return vs, ok
 }
 
-// recordCapture is the fabric-side capture hook (FullPacketNTP and any
-// stray NTP traffic reaching a vantage address): it attributes the
-// event to the shard currently being driven, if any.
-func (p *Pipeline) recordCapture(addr netip.Addr, vantage int, at time.Time) {
-	p.recordCaptureShard(p.activeShard, addr, vantage, at)
-}
-
-// recordCaptureShard is the capture hook. A shard-attributed capture
-// only appends to the shard's private event buffer — no shared state
-// moves until the drain barrier replays the buffer in ascending shard
-// order (commitShard). Deferring the dedup Adds to the barrier is what
-// makes first-seen attribution (and with it the checkpoint capture log
-// and the store's capture rows) independent of worker scheduling: two
-// shards first-capturing the same address in one slice now always
-// resolve in shard order, not in whichever-goroutine-got-there-first
-// order. Unattributed captures (stray fabric traffic outside a slice)
-// keep the immediate path — there is no barrier to defer to.
-func (p *Pipeline) recordCaptureShard(sh *collectShard, addr netip.Addr, vantage int, at time.Time) {
-	if sh == nil {
-		p.captures.Add(1)
-		p.met.captures.Inc()
-		if p.onAddr != nil {
-			p.onAddr(addr)
-		}
-		return
-	}
+// recordCapture is the capture hook of every shard's vantage-server
+// clones. It only appends to the shard's private event buffer — no
+// shared state moves until the drain barrier replays the buffer in
+// ascending shard order (commitShard). Deferring the dedup Adds to the
+// barrier is what makes first-seen attribution (and with it the
+// checkpoint capture log and the store's capture rows) independent of
+// worker scheduling: two shards first-capturing the same address in
+// one slice always resolve in shard order, not in whichever-goroutine-
+// got-there-first order.
+func (p *Pipeline) recordCapture(sh *collectShard, addr netip.Addr, vantage int) {
 	sh.events = append(sh.events, capEvent{addr: addr, vantage: int32(vantage), volume: sh.volumeStats})
 }
 
-// captureVia routes one client sync through the vantage server: either
-// a full UDP exchange on the fabric or the shard's codec fast path.
-// Both paths run the same ntp.Server logic and fire the same capture
-// hook. The fast path encodes the request and receives the response in
+// captureVia routes one client sync through the shard's codec fast path:
+// the same ntp.Server logic as the fabric-registered vantage server
+// (TestFullPacketEquivalence holds the two to the same captures and
+// responses), with the request encoded and the response received in
 // the shard's scratch buffers — zero heap allocations per capture in
 // steady state (asserted by TestCaptureFastPathZeroAlloc).
 func (p *Pipeline) captureVia(sh *collectShard, vs *VantageServer, client netip.Addr) error {
@@ -394,30 +363,15 @@ func (p *Pipeline) captureVia(sh *collectShard, vs *VantageServer, client netip.
 	port := 40000 + uint16(sh.ports.Intn(20000))
 	if !p.W.Fabric().HostUp(vs.Addr, now) {
 		// The vantage is blacked out by the fault plan: the sync never
-		// completes, on either capture path. (The port draw above still
-		// happened, keeping the shard's stream schedule independent of
-		// the plan's timing.)
+		// completes. (The port draw above still happened, keeping the
+		// shard's stream schedule independent of the plan's timing.)
 		sh.dropped[vs.idx]++
 		return fmt.Errorf("core: vantage %s is down", vs.ID)
-	}
-	if p.Cfg.FullPacketNTP {
-		// The fabric has no latency: a response either arrives
-		// immediately or was lost. A short timeout keeps lossy mass
-		// collections from serialising on dead queries.
-		_, err := ntp.QuerySim(p.W.Fabric(),
-			netip.AddrPortFrom(client, port),
-			netip.AddrPortFrom(vs.Addr, ntp.Port),
-			p.W.Clock().Now, 10*time.Millisecond)
-		if err != nil {
-			sh.dropped[vs.idx]++
-		}
-		return err
 	}
 	// The codec fast path bypasses the fabric, so the link-layer round
 	// trip is modelled here: request through the vantage's link,
 	// response through the client's. A blocked exchange is a drop — the
-	// same accounting as a blacked-out vantage. (FullPacketNTP campaigns
-	// take the SendUDP path above, where the fabric itself traverses.)
+	// same accounting as a blacked-out vantage.
 	if !p.W.Fabric().LinkAdmit(client, vs.Addr, port) {
 		sh.dropped[vs.idx]++
 		return fmt.Errorf("core: vantage %s link blocked", vs.ID)
@@ -440,8 +394,7 @@ func (p *Pipeline) captureVia(sh *collectShard, vs *VantageServer, client netip.
 // what the batch buys is that every client in a frozen slice sends the
 // same mode-3 request, so the slab is encoded by stride copy, decoded
 // once, and answered with one RespondBatch call instead of n codec
-// round-trips. FullPacketNTP campaigns never reach here (runShardSlice
-// keeps them on the per-event fabric path).
+// round-trips.
 func (p *Pipeline) volumeBatch(sh *collectShard, vs *VantageServer, n int) {
 	now := p.W.Clock().Now()
 	fabric := p.W.Fabric()

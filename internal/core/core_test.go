@@ -4,9 +4,12 @@ import (
 	"context"
 	"net/netip"
 	"testing"
+	"time"
 
 	"ntpscan/internal/analysis"
 	"ntpscan/internal/hitlist"
+	"ntpscan/internal/netsim"
+	"ntpscan/internal/ntp"
 	"ntpscan/internal/world"
 )
 
@@ -92,26 +95,86 @@ func TestCollectFeedSeesEveryCapture(t *testing.T) {
 	}
 }
 
+// TestFullPacketEquivalence holds the shard codec fast path to the
+// full UDP exchange it stands in for. On a sample of flows spread over
+// the collection window, captureVia and ntp.QuerySim to the vantage
+// server registered on the fabric must agree on every capture event
+// (client address, vantage) and return the same response packet.
 func TestFullPacketEquivalence(t *testing.T) {
-	// The codec fast path and full UDP exchanges must capture the same
-	// address set.
-	cfgA := testConfig(3)
-	cfgA.CaptureBudget = 500
-	a := NewPipeline(cfgA)
-	a.CollectOnly()
+	p := NewPipeline(testConfig(3))
+	fabric, clock := p.W.Fabric(), p.W.Clock()
+	sh := p.makeCollectShards()[0]
 
-	cfgB := testConfig(3)
-	cfgB.CaptureBudget = 500
-	cfgB.FullPacketNTP = true
-	b := NewPipeline(cfgB)
-	b.CollectOnly()
-
-	if a.Summary.Set().Len() != b.Summary.Set().Len() {
-		t.Fatalf("fast path %d addrs, full packet %d addrs",
-			a.Summary.Set().Len(), b.Summary.Set().Len())
+	// The fabric's side of the exchange: every request that reaches a
+	// vantage server, i.e. the capture events of the UDP path.
+	var sniffed []netsim.PacketInfo
+	for _, vs := range p.Servers {
+		cancel := fabric.Sniff(netip.PrefixFrom(vs.Addr, 128), func(pi netsim.PacketInfo) {
+			if pi.Proto == "udp" && pi.Dst.Port() == ntp.Port {
+				sniffed = append(sniffed, pi)
+			}
+		})
+		defer cancel()
 	}
-	if a.Summary.Set().OverlapWith(b.Summary.Set()) != a.Summary.Set().Len() {
-		t.Fatal("address sets differ between capture paths")
+	vantageAt := func(a netip.Addr) int {
+		for _, vs := range p.Servers {
+			if vs.Addr == a {
+				return vs.idx
+			}
+		}
+		return -1
+	}
+
+	flows := 0
+	for i := 0; i < 4*collectSlices; i++ {
+		if st := p.sliceTime(i / 4); st.After(clock.Now()) {
+			clock.Set(st)
+		}
+		vs := p.Servers[i%len(p.Servers)]
+		gid := p.W.SampleClientID(vs.Country, sh.vol)
+		if gid < 0 {
+			continue
+		}
+		client := p.W.CurrentAddr(sh.arena.Device(gid), clock.Now())
+		// Replay captureVia's source-port draw for the UDP exchange.
+		st := sh.ports.State()
+		port := 40000 + uint16(sh.ports.Intn(20000))
+		sh.ports.SetState(st)
+
+		sh.events = sh.events[:0]
+		if err := p.captureVia(sh, vs, client); err != nil {
+			t.Fatalf("flow %d: fast path: %v", i, err)
+		}
+		fast, err := ntp.Decode(sh.respBuf)
+		if err != nil {
+			t.Fatalf("flow %d: fast-path response: %v", i, err)
+		}
+
+		sniffed = sniffed[:0]
+		res, err := ntp.QuerySim(fabric, netip.AddrPortFrom(client, port),
+			netip.AddrPortFrom(vs.Addr, ntp.Port), clock.Now, 10*time.Millisecond)
+		if err != nil {
+			t.Fatalf("flow %d: full exchange: %v", i, err)
+		}
+
+		if len(sh.events) != 1 || len(sniffed) != 1 {
+			t.Fatalf("flow %d: %d fast-path captures vs %d requests on the fabric, want 1 each",
+				i, len(sh.events), len(sniffed))
+		}
+		ev, pkt := sh.events[0], sniffed[0]
+		if ev.addr != client || pkt.Src != netip.AddrPortFrom(client, port) {
+			t.Fatalf("flow %d: captured %v, fabric saw %v, want %v", i, ev.addr, pkt.Src, client)
+		}
+		if int(ev.vantage) != vs.idx || vantageAt(pkt.Dst.Addr()) != vs.idx {
+			t.Fatalf("flow %d: vantage %d vs fabric %v, want %d", i, ev.vantage, pkt.Dst, vs.idx)
+		}
+		if *fast != *res.Response {
+			t.Fatalf("flow %d: responses differ:\n fast %+v\n full %+v", i, *fast, *res.Response)
+		}
+		flows++
+	}
+	if flows < collectSlices {
+		t.Fatalf("only %d of %d sampled flows had a client", flows, 4*collectSlices)
 	}
 }
 

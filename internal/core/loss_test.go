@@ -9,8 +9,8 @@ import (
 )
 
 // Failure injection: the pipeline must behave sensibly on a lossy
-// fabric — fewer full-packet captures and degraded UDP scans, never
-// hangs or crashes.
+// fabric — degraded UDP scans, never hangs or crashes. Captures ride
+// the shard codec path and never cross the lossy fabric.
 
 func lossyConfig(seed uint64, loss float64) Config {
 	return Config{
@@ -23,37 +23,11 @@ func lossyConfig(seed uint64, loss float64) Config {
 		},
 		Workers:       16,
 		CaptureBudget: 2000,
-		FullPacketNTP: true,
-	}
-}
-
-func TestLossReducesFullPacketCaptures(t *testing.T) {
-	clean := NewPipeline(lossyConfig(5, 0))
-	clean.CollectOnly()
-
-	lossy := NewPipeline(lossyConfig(5, 0.5))
-	lossy.CollectOnly()
-
-	if lossy.Captures >= clean.Captures {
-		t.Fatalf("50%% loss should reduce captures: %d vs %d",
-			lossy.Captures, clean.Captures)
-	}
-	if lossy.Captures == 0 {
-		t.Fatal("all captures lost at 50% loss")
-	}
-	// Roughly half the volume-channel request packets vanish (capture
-	// happens server-side on request arrival). The responsive channel
-	// self-heals — a lost first capture is retried in later slices — so
-	// the overall ratio sits somewhat above the raw loss rate.
-	ratio := float64(lossy.Captures) / float64(clean.Captures)
-	if ratio < 0.35 || ratio > 0.85 {
-		t.Fatalf("capture ratio %.2f far from the configured loss", ratio)
 	}
 }
 
 func TestLossyScanStillFindsDevices(t *testing.T) {
 	cfg := lossyConfig(6, 0.3)
-	cfg.FullPacketNTP = false // codec captures; loss hits the scans
 	cfg.CaptureBudget = 0
 	p := NewPipeline(cfg)
 	data := p.RunNTPCampaign(context.Background())
@@ -72,7 +46,6 @@ func TestLossyScanStillFindsDevices(t *testing.T) {
 func TestCoAPDegradesUnderLoss(t *testing.T) {
 	count := func(loss float64) int {
 		cfg := lossyConfig(7, loss)
-		cfg.FullPacketNTP = false
 		cfg.CaptureBudget = 0
 		p := NewPipeline(cfg)
 		data := p.RunNTPCampaign(context.Background())

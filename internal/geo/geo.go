@@ -102,21 +102,3 @@ func (d *DB) Locate(addr netip.Addr) (string, bool) {
 	}
 	return "", false
 }
-
-// MostUnderserved returns the n countries with the highest
-// UnderservedScore, the selection rule for vantage deployment. Ties break
-// by country code for determinism.
-func (d *DB) MostUnderserved(n int) []*Country {
-	cs := d.Countries()
-	sort.SliceStable(cs, func(i, j int) bool {
-		si, sj := cs[i].UnderservedScore(), cs[j].UnderservedScore()
-		if si != sj {
-			return si > sj
-		}
-		return cs[i].Code < cs[j].Code
-	})
-	if len(cs) > n {
-		cs = cs[:n]
-	}
-	return cs
-}

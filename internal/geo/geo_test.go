@@ -44,31 +44,6 @@ func TestUnderservedScore(t *testing.T) {
 	}
 }
 
-func TestMostUnderserved(t *testing.T) {
-	d := NewDB()
-	d.AddCountry(Country{Code: "IN", RoutedV6: 1000, PoolServers: 5})
-	d.AddCountry(Country{Code: "DE", RoutedV6: 500, PoolServers: 500})
-	d.AddCountry(Country{Code: "BR", RoutedV6: 400, PoolServers: 4})
-	top := d.MostUnderserved(2)
-	if len(top) != 2 || top[0].Code != "IN" || top[1].Code != "BR" {
-		t.Fatalf("MostUnderserved = %v %v", top[0].Code, top[1].Code)
-	}
-	all := d.MostUnderserved(10)
-	if len(all) != 3 {
-		t.Fatalf("over-request returned %d", len(all))
-	}
-}
-
-func TestMostUnderservedTieBreak(t *testing.T) {
-	d := NewDB()
-	d.AddCountry(Country{Code: "BB", RoutedV6: 10, PoolServers: 1})
-	d.AddCountry(Country{Code: "AA", RoutedV6: 10, PoolServers: 1})
-	top := d.MostUnderserved(2)
-	if top[0].Code != "AA" {
-		t.Fatalf("tie break wrong: %v", top[0].Code)
-	}
-}
-
 func TestCountriesSorted(t *testing.T) {
 	d := NewDB()
 	for _, c := range []string{"ZA", "AU", "JP"} {

@@ -7,7 +7,6 @@ package oui
 
 import (
 	"hash/fnv"
-	"sort"
 
 	"ntpscan/internal/ipv6x"
 )
@@ -92,18 +91,6 @@ func (r *Registry) LookupOUI(oui [3]byte) (vendor string, ok bool) {
 // OUIs returns the blocks registered to a vendor, in registration order.
 func (r *Registry) OUIs(vendor string) [][3]byte {
 	return r.byVendor[vendor]
-}
-
-// Vendors returns all registered vendor names, sorted.
-func (r *Registry) Vendors() []string {
-	out := make([]string, 0, len(r.byVendor))
-	for v := range r.byVendor {
-		if len(r.byVendor[v]) > 0 {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Len returns the number of registered OUI blocks.

@@ -105,16 +105,6 @@ func TestDefaultRegistry(t *testing.T) {
 	}
 }
 
-func TestVendorsSorted(t *testing.T) {
-	r := Default()
-	vs := r.Vendors()
-	for i := 1; i < len(vs); i++ {
-		if vs[i-1] > vs[i] {
-			t.Fatalf("Vendors not sorted: %q > %q", vs[i-1], vs[i])
-		}
-	}
-}
-
 func TestEmbedExtractLookupEndToEnd(t *testing.T) {
 	// A MAC from a default-registry block must survive EUI-64 embedding
 	// and still resolve to its vendor — the Appendix B pipeline.

@@ -187,12 +187,6 @@ func (r *Stream) ExpFloat64() float64 {
 	}
 }
 
-// LogNormal returns exp(mu + sigma*N(0,1)); handy for heavy-tailed counts
-// such as per-network device populations.
-func (r *Stream) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
 // Zipf returns a value in [0, n) with a Zipf-like distribution of
 // exponent s (s > 0). Small values are most likely. This uses the
 // rejection-inversion method specialised to bounded support.
@@ -228,21 +222,6 @@ func (r *Stream) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle randomises the order of n elements using the provided swap
-// function, Fisher-Yates style.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Pick returns a uniformly chosen element of xs. It panics on an empty
-// slice.
-func Pick[T any](r *Stream, xs []T) T {
-	return xs[r.Intn(len(xs))]
 }
 
 // WeightedIndex returns an index into weights chosen with probability

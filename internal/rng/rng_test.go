@@ -195,23 +195,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(37)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed contents: %v", xs)
-	}
-}
-
 func TestWeightedIndex(t *testing.T) {
 	r := New(41)
 	w := []float64{0, 1, 3, 0}
@@ -254,27 +237,6 @@ func TestBytesFills(t *testing.T) {
 			if allZero {
 				t.Fatalf("Bytes(%d) left buffer all zero", n)
 			}
-		}
-	}
-}
-
-func TestPickCoversAll(t *testing.T) {
-	r := New(47)
-	xs := []string{"a", "b", "c"}
-	seen := map[string]bool{}
-	for i := 0; i < 200; i++ {
-		seen[Pick(r, xs)] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("Pick missed elements: %v", seen)
-	}
-}
-
-func TestLogNormalPositive(t *testing.T) {
-	r := New(53)
-	for i := 0; i < 1000; i++ {
-		if v := r.LogNormal(0, 1); v <= 0 {
-			t.Fatalf("LogNormal returned %v", v)
 		}
 	}
 }

@@ -158,17 +158,6 @@ func (c *Counter[K]) Merge(other *Counter[K]) {
 	}
 }
 
-// CountValues returns the multiset of counts (e.g. IPs-per-network sizes),
-// useful for medians of group densities.
-func (c *Counter[K]) CountValues() []int {
-	vs := make([]int, 0, len(c.counts))
-	for _, n := range c.counts {
-		vs = append(vs, n)
-	}
-	sort.Ints(vs)
-	return vs
-}
-
 // Histogram buckets float samples into fixed-width bins over [lo, hi).
 // Samples outside the range are clamped into the first/last bin.
 type Histogram struct {
@@ -199,16 +188,4 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.Bins[idx]++
 	h.N++
-}
-
-// Proportions returns each bin's share of all observations.
-func (h *Histogram) Proportions() []float64 {
-	out := make([]float64, len(h.Bins))
-	if h.N == 0 {
-		return out
-	}
-	for i, c := range h.Bins {
-		out[i] = float64(c) / float64(h.N)
-	}
-	return out
 }

@@ -137,20 +137,6 @@ func TestCounterMerge(t *testing.T) {
 	}
 }
 
-func TestCounterCountValues(t *testing.T) {
-	c := NewCounter[string]()
-	c.AddN("a", 3)
-	c.AddN("b", 1)
-	c.AddN("c", 2)
-	vs := c.CountValues()
-	want := []int{1, 2, 3}
-	for i := range want {
-		if vs[i] != want[i] {
-			t.Fatalf("CountValues = %v", vs)
-		}
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 5)
 	for _, v := range []float64{0, 1.9, 2, 5, 9.9, -3, 42} {
@@ -163,21 +149,19 @@ func TestHistogram(t *testing.T) {
 			t.Fatalf("Bins = %v, want %v", h.Bins, want)
 		}
 	}
-	props := h.Proportions()
-	var sum float64
-	for _, p := range props {
-		sum += p
-	}
-	if !almost(sum, 1) {
-		t.Fatalf("proportions sum to %v", sum)
+	if h.N != 7 {
+		t.Fatalf("N = %d, want 7", h.N)
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(0, 1, 3)
-	for _, p := range h.Proportions() {
-		if p != 0 {
-			t.Fatal("empty histogram should have zero proportions")
+	if h.N != 0 || len(h.Bins) != 3 {
+		t.Fatalf("empty histogram: N = %d, %d bins", h.N, len(h.Bins))
+	}
+	for _, c := range h.Bins {
+		if c != 0 {
+			t.Fatal("empty histogram should have zero bins")
 		}
 	}
 }

@@ -255,7 +255,3 @@ func (w *World) indexDevices() {
 // SyncMass returns the total sync weight of NTP clients in a country —
 // the expected relative capture volume for a vantage server there.
 func (w *World) SyncMass(country string) float64 { return w.syncMass[country] }
-
-// NTPClients returns the NTP-client devices in a country (eager worlds
-// only; lazy worlds resolve SampleClientID through a Materializer).
-func (w *World) NTPClients(country string) []*Device { return w.byCountry[country] }

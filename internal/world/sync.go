@@ -1,11 +1,6 @@
 package world
 
-import (
-	"net/netip"
-	"time"
-
-	"ntpscan/internal/rng"
-)
+import "ntpscan/internal/rng"
 
 // SampleClient draws one NTP client from a country's syncing population,
 // weighted by per-profile sync frequency. It returns nil when the
@@ -35,18 +30,6 @@ func (w *World) ResponsiveNTP() []*Device {
 	return out
 }
 
-// VantageCountries returns the codes of countries hosting our capture
-// servers, in spec order.
-func (w *World) VantageCountries() []string {
-	var out []string
-	for _, c := range w.Countries {
-		if c.Spec.Vantage {
-			out = append(out, c.Spec.Code)
-		}
-	}
-	return out
-}
-
 // Country returns the generated country by code.
 func (w *World) Country(code string) (*Country, bool) {
 	for _, c := range w.Countries {
@@ -55,17 +38,4 @@ func (w *World) Country(code string) (*Country, bool) {
 		}
 	}
 	return nil, false
-}
-
-// AddrsDuring enumerates the distinct addresses a device holds across
-// the window [start, start+dur), in epoch order. Used by tests and the
-// R&L-era comparison run.
-func (w *World) AddrsDuring(d *Device, start time.Time, dur time.Duration) []netip.Addr {
-	first := d.EpochAt(start, w.Cfg.Start)
-	last := d.EpochAt(start.Add(dur-time.Nanosecond), w.Cfg.Start)
-	var out []netip.Addr
-	for e := first; e <= last; e++ {
-		out = append(out, w.AddrAt(d, e))
-	}
-	return out
 }

@@ -81,8 +81,8 @@ func TestEveryProfileRepresented(t *testing.T) {
 func TestResponsiveLiveInVantageCountries(t *testing.T) {
 	w := New(testCfg(1))
 	vantage := map[string]bool{}
-	for _, c := range w.VantageCountries() {
-		vantage[c] = true
+	for _, c := range w.Countries {
+		vantage[c.Spec.Code] = c.Spec.Vantage
 	}
 	for _, d := range w.Devices {
 		if d.role != RoleHitlistOnly && !vantage[d.Country] {
@@ -443,27 +443,39 @@ func TestOutdatedBiasOrdering(t *testing.T) {
 	}
 }
 
+// A dynamic device renumbers during the collection window; a static
+// one holds one address throughout.
 func TestAddrsDuring(t *testing.T) {
 	w := New(testCfg(1))
-	d := findDevice(w, "fritzbox", RoleResponsive)
-	addrs := w.AddrsDuring(d, w.Cfg.Start, CollectionWindow)
-	if len(addrs) < 2 {
-		t.Fatalf("dynamic device saw %d addrs over the window", len(addrs))
+	addrsDuring := func(d *Device) map[netip.Addr]bool {
+		seen := map[netip.Addr]bool{}
+		for at := w.Cfg.Start; at.Before(w.Cfg.Start.Add(CollectionWindow)); at = at.Add(time.Hour) {
+			seen[w.CurrentAddr(d, at)] = true
+		}
+		return seen
 	}
-	s := findDevice(w, "generic-web", RoleResponsive)
-	if got := w.AddrsDuring(s, w.Cfg.Start, CollectionWindow); len(got) != 1 {
+	if got := addrsDuring(findDevice(w, "fritzbox", RoleResponsive)); len(got) < 2 {
+		t.Fatalf("dynamic device saw %d addrs over the window", len(got))
+	}
+	if got := addrsDuring(findDevice(w, "generic-web", RoleResponsive)); len(got) != 1 {
 		t.Fatalf("static device saw %d addrs", len(got))
 	}
 }
 
+// The per-country client index only ever yields that country's
+// address-only NTP clients.
 func TestNTPClientsAccessor(t *testing.T) {
 	w := New(testCfg(1))
-	devs := w.NTPClients("IN")
-	if len(devs) == 0 {
+	if len(w.byCountry["IN"]) == 0 {
 		t.Fatal("no Indian NTP clients")
 	}
-	for _, d := range devs {
-		if d.Country != "IN" || d.Role() != RoleAddrOnly {
+	r, m := rng.New(5), w.NewMaterializer(1<<16)
+	for i := 0; i < 200; i++ {
+		gid := w.SampleClientID("IN", r)
+		if gid < 0 {
+			t.Fatal("no client sampled from a populated country")
+		}
+		if d := m.Device(gid); d.Country != "IN" || d.Role() != RoleAddrOnly {
 			t.Fatalf("bad index entry: %s %v", d.Country, d.Role())
 		}
 	}
