@@ -46,8 +46,8 @@ race:
 # demands byte-identical output across worker counts, across a resume,
 # and across cluster node counts, plus the link_* conservation laws. A
 # final leg re-runs the end-to-end campaign suites for one seed at 10x
-# world scale against the lazy (arena-materialized) world — same
-# faults, same oracles, sub-linear memory path.
+# address-only population, which the shard arenas derive on demand —
+# same faults, same oracles, sub-linear memory path.
 chaos:
 	NTPSCAN_CHAOS_SEEDS="$${NTPSCAN_CHAOS_SEEDS:-11 23 42}" \
 		$(GO) test -race -skip 'Congested' ./internal/chaos/ ./internal/netsim/ ./internal/netsim/link/ ./internal/zgrab/ ./internal/core/ ./internal/obs/ ./internal/store/
@@ -55,7 +55,7 @@ chaos:
 		$(GO) test -race ./internal/cluster/ ./internal/cluster/transport/ ./cmd/clusterd/
 	NTPSCAN_CHAOS_SEEDS="$${NTPSCAN_CHAOS_SEEDS:-11 23 42}" \
 		$(GO) test -race -run 'Congested|TestLink' ./internal/chaos/ ./internal/obs/
-	NTPSCAN_CHAOS_SEEDS=23 NTPSCAN_CHAOS_SCALE=10 NTPSCAN_CHAOS_LAZY=1 \
+	NTPSCAN_CHAOS_SEEDS=23 NTPSCAN_CHAOS_SCALE=10 \
 		$(GO) test -race -skip 'Congested' ./internal/chaos/ ./internal/obs/
 
 # fuzz-smoke runs every fuzz target for a short burst (FUZZTIME each,

@@ -205,11 +205,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// orderedSink accumulates scan results per worker (lock-free, like
-// resultSink) and flushes them in sequence order at each slice's drain
-// barrier. Per-slice sorting yields the global order: the barrier
-// guarantees every slice-s sequence number precedes every slice-s+1
-// one.
+// orderedSink accumulates scan results lock-free: every scanner worker
+// appends to its own bucket (the scanner guarantees one worker index
+// per goroutine), and flush restores the deterministic submission
+// order at each drain barrier by sorting on the sequence numbers the
+// scanner stamped. Per-slice sorting yields the global order: the
+// barrier guarantees every slice-s sequence number precedes every
+// slice-s+1 one.
 type orderedSink struct {
 	buckets [][]*zgrab.Result
 	all     []*zgrab.Result
@@ -351,6 +353,21 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 	// slices live in segments the store was reset to.
 	capBase := len(p.capLog)
 	var capScratch []store.CaptureRow
+	// appendSlice hands one slice's drained rows and results to the
+	// store, then to the aggregator. The drain barrier and the
+	// post-Close tail both call it, so both keep that order.
+	appendSlice := func(slice int, rows []store.CaptureRow) {
+		if opts.Store != nil {
+			if err := opts.Store.AppendSlice(slice, rows, sink.batch); err != nil && werr == nil {
+				werr = err
+			}
+		}
+		if opts.Aggregates != nil {
+			if err := opts.Aggregates.AggregateSlice(slice, rows, sink.batch); err != nil && werr == nil {
+				werr = err
+			}
+		}
+	}
 	p.collectFrom(startSlice, func(batch []netip.Addr) {
 		scanner.SubmitBatch(batch)
 	}, scanner.Drain, func(next int, shards []*collectShard) {
@@ -368,16 +385,7 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 			}
 			capBase = len(p.capLog)
 			capScratch = rows
-			if opts.Store != nil {
-				if err := opts.Store.AppendSlice(next-1, rows, sink.batch); err != nil && werr == nil {
-					werr = err
-				}
-			}
-			if opts.Aggregates != nil {
-				if err := opts.Aggregates.AggregateSlice(next-1, rows, sink.batch); err != nil && werr == nil {
-					werr = err
-				}
-			}
+			appendSlice(next-1, rows)
 		}
 		// Telemetry before checkpointing: the line reflects the slice's
 		// quiescent state, and the checkpoint counter below must tick
@@ -419,16 +427,7 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 	// collection slice; it lands on the synthetic slice collectSlices
 	// (for both the store and the aggregator), and sealing garbage-
 	// collects retired compaction inputs.
-	if opts.Store != nil {
-		if err := opts.Store.AppendSlice(collectSlices, nil, sink.batch); err != nil && werr == nil {
-			werr = err
-		}
-	}
-	if opts.Aggregates != nil {
-		if err := opts.Aggregates.AggregateSlice(collectSlices, nil, sink.batch); err != nil && werr == nil {
-			werr = err
-		}
-	}
+	appendSlice(collectSlices, nil)
 	if opts.Store != nil {
 		if err := opts.Store.Seal(); err != nil && werr == nil {
 			werr = err

@@ -541,8 +541,7 @@ func (p *Pipeline) responsive() []*world.Device {
 // expectedDistinct estimates the distinct-address yield of the
 // address-only population (devices x epochs), for auto-sizing the
 // capture budget. It reads the world's precomputed per-country epoch
-// masses — no device enumeration, so it works identically on lazy
-// worlds where the population is never resident.
+// masses — no device enumeration: the population is never resident.
 func (p *Pipeline) expectedDistinct() int {
 	var total int64
 	for _, c := range p.W.Countries {

@@ -68,11 +68,9 @@ type Config struct {
 	// (default 256 KiB). Sampled client devices are materialized on
 	// demand into the arena and evicted clock-wise when it fills, so the
 	// pipeline's resident device state is bounded regardless of how
-	// large the address-only population grows. Arenas run in both eager
-	// and lazy worlds — derivation is identical, so output and telemetry
-	// never depend on World.Lazy. Like CollectShards, the budget is part
-	// of the experiment definition: checkpoints snapshot arena contents
-	// and only resume onto the same budget.
+	// large the address-only population grows. Like CollectShards, the
+	// budget is part of the experiment definition: checkpoints snapshot
+	// arena contents and only resume onto the same budget.
 	ArenaBytes int
 	// Timeout per scan connection; UDPTimeout for connectionless
 	// probes.

@@ -46,12 +46,6 @@ type Options struct {
 	// internal/store; readable by cmd/analyze). Attaching the store
 	// does not change the campaign's dataset or tables.
 	StoreDir string
-	// LazyWorld skips the eager device build: the address-only
-	// population is derived on demand through the collection shards'
-	// arenas instead of being resident. Output is bit-identical either
-	// way — the switch only changes memory, which is what lets the
-	// scale ladder climb 100x without a 100x heap.
-	LazyWorld bool
 	// CaptureBudget pins the campaign's volume-channel capture count
 	// (core.Config.CaptureBudget). Zero keeps the default, which scales
 	// with the world's client mass; the scale ladder pins it so
@@ -147,7 +141,6 @@ func Run(opts Options) *Suite {
 			DeviceScale: opts.DeviceScale,
 			AddrScale:   opts.AddrScale,
 			ASScale:     opts.ASScale,
-			Lazy:        opts.LazyWorld,
 		},
 		Workers:       opts.Workers,
 		CollectShards: opts.CollectShards,
@@ -208,7 +201,6 @@ func CollectOnly(opts Options) *Suite {
 			DeviceScale: opts.DeviceScale,
 			AddrScale:   opts.AddrScale,
 			ASScale:     opts.ASScale,
-			Lazy:        opts.LazyWorld,
 		},
 		Workers:       opts.Workers,
 		CollectShards: opts.CollectShards,

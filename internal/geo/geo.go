@@ -25,18 +25,6 @@ type Country struct {
 	Population float64
 }
 
-// UnderservedScore is routed space per existing pool server; the paper's
-// deployment targets countries where this is high. A country with zero
-// servers scores as if it had one (the pool never maps an empty zone to
-// nothing — clients fall back to the continent zone).
-func (c Country) UnderservedScore() float64 {
-	servers := c.PoolServers
-	if servers < 1 {
-		servers = 1
-	}
-	return c.RoutedV6 / float64(servers)
-}
-
 // DB is the combined country registry and prefix→country mapping.
 type DB struct {
 	countries map[string]*Country

@@ -32,18 +32,6 @@ func TestLocateLongestMatch(t *testing.T) {
 	}
 }
 
-func TestUnderservedScore(t *testing.T) {
-	many := Country{RoutedV6: 100, PoolServers: 100}
-	few := Country{RoutedV6: 100, PoolServers: 2}
-	none := Country{RoutedV6: 100, PoolServers: 0}
-	if few.UnderservedScore() <= many.UnderservedScore() {
-		t.Fatal("fewer servers should score higher")
-	}
-	if none.UnderservedScore() != 100 {
-		t.Fatalf("zero-server score = %v", none.UnderservedScore())
-	}
-}
-
 func TestCountriesSorted(t *testing.T) {
 	d := NewDB()
 	for _, c := range []string{"ZA", "AU", "JP"} {

@@ -28,7 +28,8 @@ const (
 	FaultOutage FaultKind = iota
 	// FaultLoss drops each packet to or from the scope with probability
 	// Prob for the window — the bursty, prefix-correlated loss real
-	// IPv6 paths exhibit, as opposed to Config.LossProb's uniform rain.
+	// IPv6 paths exhibit. It is the fabric's only loss model: uniform
+	// loss is a FaultLoss over ::/0.
 	FaultLoss
 	// FaultSlow adds Latency to the path. When the injected latency
 	// exceeds the dialer's patience (Config.DialTimeout) the connection
@@ -433,9 +434,9 @@ func dropTCP(seed uint64, src netip.Addr, dst netip.AddrPort, at time.Time, atte
 	return h.roll(prob)
 }
 
-// dropUDP decides whether a datagram dies (burst loss or the fabric's
-// uniform LossProb). dir distinguishes request from response so the
-// two directions roll independently.
+// dropUDP decides whether a datagram dies under burst loss. dir
+// distinguishes request from response so the two directions roll
+// independently.
 func dropUDP(seed uint64, dir byte, src, dst netip.Addr, dstPort uint16, payload []byte, at time.Time, prob float64) bool {
 	h := newFlowHash(seed, dir)
 	h = h.addr(src).addr(dst).word(uint64(dstPort))

@@ -97,12 +97,6 @@ type Config struct {
 	// DialTimeout bounds how long a blackholed dial blocks when the
 	// caller's context has no deadline. Defaults to 2 seconds.
 	DialTimeout time.Duration
-	// LossProb drops each UDP datagram with this probability. The
-	// decision is a pure hash of the datagram's flow identity and Seed,
-	// so it is independent of goroutine interleaving.
-	LossProb float64
-	// Seed seeds the fabric's internal randomness (loss decisions).
-	Seed uint64
 }
 
 // Network is the fabric. All methods are safe for concurrent use.
@@ -356,26 +350,15 @@ func ephemeralPort(src netip.Addr, dst netip.AddrPort) uint16 {
 	return uint16(32768 + h%28232)
 }
 
-// dropDatagram applies the fabric's uniform loss plus any active
-// burst-loss fault to one datagram. dir separates the request and
-// response directions; the decision is a pure flow hash (see
-// faults.go), so it never depends on goroutine interleaving. Client
-// ephemeral ports are excluded from the hash — bind order under
-// concurrency is not deterministic — so both directions hash the
-// server-side port.
-// byFault distinguishes plan-injected burst loss from the fabric's
-// uniform background loss, so fault accounting counts only the former.
-func (n *Network) dropDatagram(dir byte, from, to netip.Addr, serverPort uint16, payload []byte, burstLoss float64, at time.Time) (drop, byFault bool) {
-	if n.cfg.LossProb > 0 &&
-		dropUDP(n.cfg.Seed, dir, from, to, serverPort, payload, at, n.cfg.LossProb) {
-		return true, false
-	}
-	if burstLoss > 0 {
-		plan := n.plan()
-		d := dropUDP(plan.Seed, dir|0x80, from, to, serverPort, payload, at, burstLoss)
-		return d, d
-	}
-	return false, false
+// dropDatagram applies any active burst-loss fault to one datagram.
+// dir separates the request and response directions; the decision is
+// a pure flow hash (see faults.go), so it never depends on goroutine
+// interleaving. Client ephemeral ports are excluded from the hash —
+// bind order under concurrency is not deterministic — so both
+// directions hash the server-side port.
+func (n *Network) dropDatagram(dir byte, from, to netip.Addr, serverPort uint16, payload []byte, burstLoss float64, at time.Time) bool {
+	return burstLoss > 0 &&
+		dropUDP(n.plan().Seed, dir|0x80, from, to, serverPort, payload, at, burstLoss)
 }
 
 // SendUDP delivers one datagram from src to dst, outside any bound
@@ -403,11 +386,9 @@ func (n *Network) SendUDP(src, dst netip.AddrPort, payload []byte) {
 			return
 		}
 	}
-	if drop, byFault := n.dropDatagram('q', src.Addr(), dst.Addr(), dst.Port(), payload, eff.loss, now); drop {
-		if byFault {
-			if m := n.faultMetrics(); m != nil {
-				m.UDPDrops.Inc()
-			}
+	if n.dropDatagram('q', src.Addr(), dst.Addr(), dst.Port(), payload, eff.loss, now) {
+		if m := n.faultMetrics(); m != nil {
+			m.UDPDrops.Inc()
 		}
 		return
 	}
@@ -437,11 +418,9 @@ func (n *Network) SendUDP(src, dst netip.AddrPort, payload []byte) {
 		return
 	}
 	for _, resp := range handler(src, payload) {
-		if drop, byFault := n.dropDatagram('r', dst.Addr(), src.Addr(), dst.Port(), resp, eff.loss, now); drop {
-			if byFault {
-				if m := n.faultMetrics(); m != nil {
-					m.UDPDrops.Inc()
-				}
+		if n.dropDatagram('r', dst.Addr(), src.Addr(), dst.Port(), resp, eff.loss, now) {
+			if m := n.faultMetrics(); m != nil {
+				m.UDPDrops.Inc()
 			}
 			continue
 		}

@@ -437,18 +437,32 @@ func TestSnifferSeesTrafficInPrefix(t *testing.T) {
 	}
 }
 
+// Uniform loss is a FaultLoss over ::/0: at Prob 1 the request dies
+// before the handler runs, and nothing comes back.
 func TestLossDropsPackets(t *testing.T) {
-	n := New(Config{LossProb: 1, Seed: 1})
+	clock := NewManualClock(faultStart)
+	n := New(Config{Clock: clock})
+	plan := &FaultPlan{Seed: 1}
+	plan.Add(Fault{
+		Kind: FaultLoss, Prefix: netip.MustParsePrefix("::/0"), Prob: 1,
+		From: faultStart, Until: faultStart.Add(time.Hour),
+	})
+	n.InstallFaults(plan)
+	served := 0
 	h := NewHost("ntp").HandleUDP(123, func(netip.AddrPort, []byte) [][]byte {
+		served++
 		return [][]byte{[]byte("r")}
 	})
 	n.Register(addr("2001:db8::9"), h)
 	c, _ := n.ListenUDP(ap("[2001:db8::1]:1"))
 	defer c.Close()
 	c.WriteTo([]byte("x"), ap("[2001:db8::9]:123"))
-	c.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	c.SetReadDeadline(clock.Now().Add(20 * time.Millisecond))
 	if _, _, err := c.ReadFrom(make([]byte, 4)); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("full loss still delivered: %v", err)
+	}
+	if served != 0 {
+		t.Fatalf("a lost request reached the handler %d times", served)
 	}
 }
 

@@ -22,8 +22,7 @@ func NewFaultMetrics(r *obs.Registry) *FaultMetrics {
 }
 
 // SetFaultMetrics attaches (or, with nil, detaches) fault counters to
-// the fabric. Uniform background loss (Config.LossProb) is part of the
-// modelled network, not the fault plan, and is not counted here.
+// the fabric.
 func (n *Network) SetFaultMetrics(m *FaultMetrics) {
 	n.fm.Store(m)
 }

@@ -15,14 +15,14 @@ func TestPopulationCalibration(t *testing.T) {
 
 	responsive := map[string]int{}
 	hitlistOnly := map[string]int{}
-	for _, d := range w.Devices {
+	eachDevice(w, func(d *Device) {
 		switch d.Role() {
 		case RoleResponsive:
 			responsive[d.Profile.Name]++
 		case RoleHitlistOnly:
 			hitlistOnly[d.Profile.Name]++
 		}
-	}
+	})
 
 	check := func(kind string, got map[string]int, name string, full int) {
 		t.Helper()

@@ -12,7 +12,7 @@ import (
 	"ntpscan/internal/rng"
 )
 
-// Lazy materialization: device state is a pure function of
+// On-demand materialization: device state is a pure function of
 // (world seed, global device ID). The global ID space is partitioned
 // into contiguous segments, one per (profile, role) block in catalog
 // order, so the profile and role of any ID follow from a binary search
@@ -26,7 +26,7 @@ import (
 // the per-AS customer /48 pools and builds the per-country sync-
 // sampling indexes. That pass allocates a few words per NTP client, not
 // a Device, so memory grows with the index, two orders of magnitude
-// below the eager build.
+// below a resident population.
 
 // deviceSalt seeds the per-device derivation stream.
 const deviceSalt = 0x6d61747a // "matz"
@@ -50,8 +50,7 @@ type weightKey struct {
 }
 
 // buildSegments lays out the global ID space in catalog order —
-// responsive, hitlist-only, then address-only per profile — mirroring
-// the order the eager build appends devices in.
+// responsive, hitlist-only, then address-only per profile.
 func (w *World) buildSegments() {
 	tab := map[weightKey][]float64{}
 	var base int32
@@ -82,7 +81,7 @@ func (w *World) buildSegments() {
 }
 
 // countryWeights precomputes the placement weight vector for one shape,
-// replacing the per-device allocation the eager builder paid.
+// so placement draws allocate nothing per device.
 func (w *World) countryWeights(key weightKey) []float64 {
 	weights := make([]float64, len(w.Countries))
 	for i, c := range w.Countries {
@@ -241,9 +240,9 @@ func (w *World) materializeInto(gid int32, d *Device, r *rng.Stream) {
 }
 
 // buildReachable materializes the scan-reachable population — the only
-// devices with mutable fabric state — in both eager and lazy worlds.
-// Their count scales with DeviceScale, not AddrScale, so they stay
-// resident at every rung of the scale ladder.
+// devices with mutable fabric state. Their count scales with
+// DeviceScale, not AddrScale, so they stay resident at every rung of
+// the scale ladder.
 func (w *World) buildReachable() {
 	var r rng.Stream
 	for si := range w.segments {
@@ -268,7 +267,7 @@ func (w *World) buildReachable() {
 
 // Reachable returns every scan-reachable device (responsive and
 // hitlist-only roles) in global-ID order. The slice is shared and must
-// not be mutated. It is populated in both eager and lazy worlds.
+// not be mutated.
 func (w *World) Reachable() []*Device { return w.reachable }
 
 // ClientEpochMass returns the summed address-epoch count of a country's
@@ -279,8 +278,7 @@ func (w *World) ClientEpochMass(country string) int64 { return w.epochMass[count
 // SampleClientID draws one NTP-client device ID from a country's
 // syncing population, weighted by per-profile sync frequency. It
 // returns -1 (consuming nothing from r) when the country has no NTP
-// clients. Resolve the ID through a Materializer, or through
-// w.Devices[id] on an eager world.
+// clients. Resolve the ID through a Materializer.
 func (w *World) SampleClientID(country string, r *rng.Stream) int32 {
 	cum := w.cumSync[country]
 	if len(cum) == 0 {

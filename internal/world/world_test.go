@@ -18,9 +18,31 @@ func testCfg(seed uint64) Config {
 	return Config{Seed: seed, DeviceScale: 1e-3, AddrScale: 1e-6, ASScale: 0.02}
 }
 
+// eachDevice walks the world's global ID space in order, resolving
+// every ID through an (evicting) Materializer the way collection
+// shards do. The *Device handed to fn is valid only for that call.
+func eachDevice(w *World, fn func(*Device)) {
+	m := w.NewMaterializer(1 << 16)
+	for gid := int32(0); gid < int32(w.DeviceCount()); gid++ {
+		fn(m.Device(gid))
+	}
+}
+
+// findDevice returns the first device of a profile and role: the
+// resident struct (with fabric state) for reachable roles, an
+// on-demand derivation for address-only ones.
 func findDevice(w *World, profile string, role Role) *Device {
-	for _, d := range w.Devices {
-		if d.Profile.Name == profile && d.role == role {
+	if role != RoleAddrOnly {
+		for _, d := range w.Reachable() {
+			if d.Profile.Name == profile && d.role == role {
+				return d
+			}
+		}
+		return nil
+	}
+	m := w.NewMaterializer(1) // nothing else resolves through it
+	for gid := int32(0); gid < int32(w.DeviceCount()); gid++ {
+		if d := m.Device(gid); d.Profile.Name == profile && d.role == role {
 			return d
 		}
 	}
@@ -29,11 +51,12 @@ func findDevice(w *World, profile string, role Role) *Device {
 
 func TestBuildDeterministic(t *testing.T) {
 	a, b := New(testCfg(1)), New(testCfg(1))
-	if len(a.Devices) != len(b.Devices) {
-		t.Fatalf("device counts differ: %d vs %d", len(a.Devices), len(b.Devices))
+	if a.DeviceCount() != b.DeviceCount() {
+		t.Fatalf("device counts differ: %d vs %d", a.DeviceCount(), b.DeviceCount())
 	}
-	for i := range a.Devices {
-		da, db := a.Devices[i], b.Devices[i]
+	ma, mb := a.NewMaterializer(1<<16), b.NewMaterializer(1<<16)
+	for i := int32(0); i < int32(a.DeviceCount()); i++ {
+		da, db := ma.Device(i), mb.Device(i)
 		if da.Profile.Name != db.Profile.Name || da.Country != db.Country ||
 			da.AS.Number != db.AS.Number || da.KeyID != db.KeyID {
 			t.Fatalf("device %d differs", i)
@@ -59,18 +82,18 @@ func TestSeedChangesWorld(t *testing.T) {
 func TestScalesApply(t *testing.T) {
 	small := New(testCfg(1))
 	big := New(Config{Seed: 1, DeviceScale: 2e-3, AddrScale: 1e-6, ASScale: 0.02})
-	if len(big.Devices) <= len(small.Devices) {
+	if big.DeviceCount() <= small.DeviceCount() {
 		t.Fatalf("larger DeviceScale should yield more devices: %d vs %d",
-			len(big.Devices), len(small.Devices))
+			big.DeviceCount(), small.DeviceCount())
 	}
 }
 
 func TestEveryProfileRepresented(t *testing.T) {
 	w := New(testCfg(1))
 	seen := map[string]bool{}
-	for _, d := range w.Devices {
+	eachDevice(w, func(d *Device) {
 		seen[d.Profile.Name] = true
-	}
+	})
 	for _, p := range allProfiles() {
 		if p.CountResponsive+p.CountHitlistOnly+p.CountAddrOnly > 0 && !seen[p.Name] {
 			t.Errorf("profile %q has no devices", p.Name)
@@ -84,11 +107,11 @@ func TestResponsiveLiveInVantageCountries(t *testing.T) {
 	for _, c := range w.Countries {
 		vantage[c.Spec.Code] = c.Spec.Vantage
 	}
-	for _, d := range w.Devices {
+	eachDevice(w, func(d *Device) {
 		if d.role != RoleHitlistOnly && !vantage[d.Country] {
 			t.Fatalf("%s device in non-vantage %s", d.Profile.Name, d.Country)
 		}
-	}
+	})
 }
 
 func TestFritzboxServesHTTP(t *testing.T) {
@@ -232,7 +255,9 @@ func TestRegisterStatic(t *testing.T) {
 
 func TestASRegistryResolvesDeviceAddrs(t *testing.T) {
 	w := New(testCfg(1))
-	for _, d := range w.Devices[:50] {
+	m := w.NewMaterializer(1 << 16)
+	for gid := int32(0); gid < 50; gid++ {
+		d := m.Device(gid)
 		addr := w.AddrAt(d, 0)
 		asn, ok := w.ASReg.LookupASN(addr)
 		if !ok || asn != d.AS.Number {
@@ -247,12 +272,13 @@ func TestASRegistryResolvesDeviceAddrs(t *testing.T) {
 
 func TestSampleClientCountryAndWeight(t *testing.T) {
 	w := New(testCfg(1))
-	r := rng.New(9)
+	r, m := rng.New(9), w.NewMaterializer(1<<16)
 	for i := 0; i < 200; i++ {
-		d := w.SampleClient("IN", r)
-		if d == nil {
+		gid := w.SampleClientID("IN", r)
+		if gid < 0 {
 			t.Fatal("no client sampled")
 		}
+		d := m.Device(gid)
 		if d.Country != "IN" {
 			t.Fatalf("sampled %s device", d.Country)
 		}
@@ -260,7 +286,7 @@ func TestSampleClientCountryAndWeight(t *testing.T) {
 			t.Fatalf("non-NTP device %s sampled", d.Profile.Name)
 		}
 	}
-	if w.SampleClient("XX", r) != nil {
+	if w.SampleClientID("XX", r) != -1 {
 		t.Fatal("unknown country sampled a device")
 	}
 }
@@ -278,12 +304,12 @@ func TestKeyReusePools(t *testing.T) {
 	w := New(Config{Seed: 3, DeviceScale: 5e-3, AddrScale: 1e-6, ASScale: 0.02})
 	keys := map[[16]byte]int{}
 	devs := 0
-	for _, d := range w.Devices {
+	eachDevice(w, func(d *Device) {
 		if d.Profile.Name == "ufi-hotspot" {
 			keys[d.KeyID]++
 			devs++
 		}
-	}
+	})
 	if devs < 5 {
 		t.Skipf("too few ufi devices (%d) at this scale", devs)
 	}
@@ -295,7 +321,7 @@ func TestKeyReusePools(t *testing.T) {
 func TestReusedCertsShareFingerprint(t *testing.T) {
 	w := New(Config{Seed: 3, DeviceScale: 5e-3, AddrScale: 1e-6, ASScale: 0.02})
 	bySlot := map[int][]*Device{}
-	for _, d := range w.Devices {
+	for _, d := range w.Reachable() { // mqtt-enduser is responsive-only
 		if d.Profile.Name == "mqtt-enduser" && d.KeySlot >= 0 {
 			bySlot[d.KeySlot] = append(bySlot[d.KeySlot], d)
 		}
@@ -407,14 +433,14 @@ func TestCertificateProperties(t *testing.T) {
 
 func TestPatchRevWithinRange(t *testing.T) {
 	w := New(testCfg(1))
-	for _, d := range w.Devices {
+	eachDevice(w, func(d *Device) {
 		if d.Profile.SSH == nil || d.Profile.SSH.NoPatch {
-			continue
+			return
 		}
 		if d.PatchRev < 0 || d.PatchRev > d.Profile.SSH.MaxRev {
 			t.Fatalf("%s patch rev %d out of range", d.Profile.Name, d.PatchRev)
 		}
-	}
+	})
 }
 
 func TestOutdatedBiasOrdering(t *testing.T) {
@@ -423,15 +449,15 @@ func TestOutdatedBiasOrdering(t *testing.T) {
 	w := New(Config{Seed: 11, DeviceScale: 0.02, AddrScale: 1e-6, ASScale: 0.02})
 	outdatedShare := func(name string) float64 {
 		outdated, total := 0, 0
-		for _, d := range w.Devices {
+		eachDevice(w, func(d *Device) {
 			if d.Profile.Name != name {
-				continue
+				return
 			}
 			total++
 			if d.PatchRev < d.Profile.SSH.MaxRev {
 				outdated++
 			}
-		}
+		})
 		if total == 0 {
 			t.Fatalf("no %s devices", name)
 		}
@@ -466,7 +492,7 @@ func TestAddrsDuring(t *testing.T) {
 // address-only NTP clients.
 func TestNTPClientsAccessor(t *testing.T) {
 	w := New(testCfg(1))
-	if len(w.byCountry["IN"]) == 0 {
+	if len(w.clientIDs["IN"]) == 0 {
 		t.Fatal("no Indian NTP clients")
 	}
 	r, m := rng.New(5), w.NewMaterializer(1<<16)
@@ -502,14 +528,14 @@ func TestDeviceAddressesMostlyUnique(t *testing.T) {
 	w := New(testCfg(1))
 	seen := map[string]int{}
 	dups := 0
-	for _, d := range w.Devices {
+	eachDevice(w, func(d *Device) {
 		a := w.AddrAt(d, 0).String()
 		if _, ok := seen[a]; ok {
 			dups++
 		}
 		seen[a] = d.ID
-	}
-	if dups > len(w.Devices)/200 {
-		t.Fatalf("%d address collisions among %d devices", dups, len(w.Devices))
+	})
+	if dups > w.DeviceCount()/200 {
+		t.Fatalf("%d address collisions among %d devices", dups, w.DeviceCount())
 	}
 }
