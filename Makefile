@@ -1,15 +1,20 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check vet build test race perfbench bench bench-query bench-compare \
+.PHONY: all check gofmt vet build test race perfbench bench bench-query bench-compare \
 	bench-scale profiles chaos fuzz-smoke cover cover-gate
 
 all: check
 
-# check is the CI gate: vet, build everything, then the full test suite
-# under the race detector (the parallel collection/scan pipeline is
-# exactly the kind of code -race exists for), then the benchmark module.
-check: vet build race perfbench
+# check is the CI gate: formatting, vet, build everything, then the
+# full test suite under the race detector (the parallel collection/scan
+# pipeline is exactly the kind of code -race exists for), then the
+# benchmark module.
+check: gofmt vet build race perfbench
+
+# gofmt fails if any tracked Go file is not gofmt-formatted.
+gofmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # perfbench vets and tests the benchmark, a separate Go module (see
 # perfbench/go.mod) that the root ./... never compiles, so a refactor
@@ -74,6 +79,7 @@ FUZZ_TARGETS := \
 	./internal/proto/mqttx:FuzzReadPacket \
 	./internal/proto/mqttx:FuzzDecodeConnect \
 	./internal/store:FuzzSegmentDecode \
+	./internal/zgrab:FuzzResultJSON \
 	./internal/cluster/transport:FuzzTransportFrameDecode \
 	./internal/netsim/link:FuzzLinkPlanDecode
 

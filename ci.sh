@@ -1,7 +1,9 @@
 #!/bin/sh
-# CI gate: vet + build + full test suite under the race detector, plus
-# the benchmark module. Equivalent to `make check`.
+# CI gate: gofmt + vet + build + full test suite under the race
+# detector, plus the benchmark module. Equivalent to `make check`.
 set -eux
+# Formatting gate: every tracked Go file must be gofmt-formatted.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go vet ./...
 go build ./...
 go test -race ./...

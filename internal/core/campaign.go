@@ -16,12 +16,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"ntpscan/internal/analysis"
@@ -119,7 +120,7 @@ func (m PoolScoreMap) MarshalJSON() ([]byte, error) {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	buf := make([]byte, 0, 16+24*len(keys))
 	buf = append(buf, '{')
 	for i, k := range keys {
@@ -216,23 +217,13 @@ type orderedSink struct {
 	buckets [][]*zgrab.Result
 	all     []*zgrab.Result
 	cw      *countingWriter
-	enc     *json.Encoder
 	// batch and encBuf are flush scratch, reused across the campaign's
 	// 96 slice flushes: batch collects the slice's results for sorting,
 	// encBuf accumulates their JSONL bytes so each slice costs one
 	// Write instead of one per result. Both keep their high-water
 	// capacity.
 	batch  []*zgrab.Result
-	encBuf jsonlBuf
-}
-
-// jsonlBuf is the minimal reusable byte sink behind the campaign's
-// json.Encoder (bytes.Buffer without the unused machinery).
-type jsonlBuf struct{ b []byte }
-
-func (j *jsonlBuf) Write(p []byte) (int, error) {
-	j.b = append(j.b, p...)
-	return len(p), nil
+	encBuf []byte
 }
 
 func newOrderedSink(workers int, out io.Writer) *orderedSink {
@@ -242,7 +233,6 @@ func newOrderedSink(workers int, out io.Writer) *orderedSink {
 	s := &orderedSink{buckets: make([][]*zgrab.Result, workers)}
 	if out != nil {
 		s.cw = &countingWriter{w: out}
-		s.enc = json.NewEncoder(&s.encBuf)
 	}
 	return s
 }
@@ -260,18 +250,21 @@ func (s *orderedSink) flush() error {
 		batch = append(batch, b...)
 		s.buckets[i] = b[:0]
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Seq < batch[j].Seq })
+	slices.SortFunc(batch, func(a, b *zgrab.Result) int { return cmp.Compare(a.Seq, b.Seq) })
 	s.all = append(s.all, batch...)
 	s.batch = batch
-	if s.enc != nil {
-		s.encBuf.b = s.encBuf.b[:0]
+	if s.cw != nil {
+		buf := s.encBuf[:0]
 		for _, r := range batch {
-			if err := s.enc.Encode(r); err != nil {
+			var err error
+			if buf, err = r.AppendJSON(buf); err != nil {
 				return err
 			}
+			buf = append(buf, '\n')
 		}
-		if len(s.encBuf.b) > 0 {
-			if _, err := s.cw.Write(s.encBuf.b); err != nil {
+		s.encBuf = buf
+		if len(buf) > 0 {
+			if _, err := s.cw.Write(buf); err != nil {
 				return err
 			}
 		}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -20,24 +21,23 @@ type RealClock struct{}
 func (RealClock) Now() time.Time { return time.Now() }
 
 // ManualClock is a logical clock advanced explicitly by the experiment
-// driver. It is safe for concurrent use.
+// driver. It is safe for concurrent use: Now is one atomic load, and
+// the writers store under mu before they signal.
 type ManualClock struct {
-	mu      sync.RWMutex
-	now     time.Time
+	mu      sync.Mutex
+	now     atomic.Pointer[time.Time]
 	changed chan struct{}
 }
 
 // NewManualClock returns a manual clock starting at the given instant.
 func NewManualClock(start time.Time) *ManualClock {
-	return &ManualClock{now: start}
+	c := &ManualClock{}
+	c.now.Store(&start)
+	return c
 }
 
 // Now implements Clock.
-func (c *ManualClock) Now() time.Time {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.now
-}
+func (c *ManualClock) Now() time.Time { return *c.now.Load() }
 
 // Changed returns a channel that is closed the next time the clock
 // moves. Logical-time waiters (e.g. a token bucket running on simulated
@@ -69,22 +69,25 @@ func (c *ManualClock) Advance(d time.Duration) time.Time {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	now := c.Now()
 	if d > 0 {
-		c.now = c.now.Add(d)
+		now = now.Add(d)
+		c.now.Store(&now)
 		c.signal()
 	}
-	return c.now
+	return now
 }
 
 // Set jumps the clock to t. It panics if t is before the current time.
 func (c *ManualClock) Set(t time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.Before(c.now) {
+	now := c.Now()
+	if t.Before(now) {
 		panic("netsim: ManualClock.Set moving backwards")
 	}
-	if t.After(c.now) {
-		c.now = t
+	if t.After(now) {
+		c.now.Store(&t)
 		c.signal()
 	}
 }

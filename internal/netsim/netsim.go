@@ -260,10 +260,8 @@ func (n *Network) Stats() (tcpDials, udpPackets int64) {
 func (n *Network) DialTCP(ctx context.Context, src netip.Addr, dst netip.AddrPort) (net.Conn, error) {
 	now := n.clock.Now()
 	n.dials.Add(1)
-	n.notifySniffers(PacketInfo{
-		Time: now, Proto: "tcp",
-		Src: netip.AddrPortFrom(src, ephemeralPort(src, dst)), Dst: dst,
-	})
+	srcPort := netip.AddrPortFrom(src, ephemeralPort(src, dst))
+	n.notifySniffers(PacketInfo{Time: now, Proto: "tcp", Src: srcPort, Dst: dst})
 
 	var eff faultEffects
 	attempt := AttemptFrom(ctx)
@@ -290,8 +288,7 @@ func (n *Network) DialTCP(ctx context.Context, src netip.Addr, dst netip.AddrPor
 
 	if ok {
 		if handler, open := host.TCP[dst.Port()]; open {
-			client, server := NewConnPair(
-				netip.AddrPortFrom(src, ephemeralPort(src, dst)), dst)
+			client, server := NewConnPair(srcPort, dst)
 			if _, logical := n.clock.(*ManualClock); logical {
 				client.ignoreDeadlines = true
 				server.ignoreDeadlines = true

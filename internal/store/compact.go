@@ -32,61 +32,41 @@ func (s *Store) maybeCompact(slice int) error {
 	return s.compact(inputs)
 }
 
+// segRows is one L0 segment's rows, held for compaction: the caller's
+// capture rows copied, the result pointers shared.
+type segRows struct {
+	caps    []CaptureRow
+	results []*zgrab.Result
+}
+
 // compact merges the input segments (already in manifest order) into
 // one L1 segment: all capture rows in segment order, then all result
-// rows in segment order, re-chunked into fresh blocks. Inputs are
-// retired (renamed, not deleted) before the manifest commits the
-// merge, so a crash at any point recovers: an unmanifested L1 is a
-// deletable stray, and retired-but-still-manifested inputs are
+// rows in segment order, re-chunked into fresh blocks. The rows come
+// from s.pending; inputs missing there are decoded into it first.
+// Inputs are retired (renamed, not deleted) before the manifest
+// commits the merge, so a crash at any point recovers: an unmanifested
+// L1 is a deletable stray, and retired-but-still-manifested inputs are
 // resurrected by recover/ResetTo.
 func (s *Store) compact(inputs []SegmentInfo) error {
-	datas := make([][]byte, len(inputs))
-	segs := make([]*segment, len(inputs))
-	for i, si := range inputs {
-		data, err := os.ReadFile(filepath.Join(s.dir, si.Name))
-		if err != nil {
-			return fmt.Errorf("store: compact: %w", err)
+	for _, si := range inputs {
+		if _, ok := s.pending[si.Name]; !ok {
+			if err := s.loadPending(si); err != nil {
+				return fmt.Errorf("store: compact: segment %s: %w", si.Name, err)
+			}
 		}
-		seg, err := parseSegmentBytes(data)
-		if err != nil {
-			return fmt.Errorf("store: compact: segment %s: %w", si.Name, err)
-		}
-		datas[i], segs[i] = data, seg
 	}
-	sb := newSegBuilder()
-	for i, seg := range segs {
-		for _, bi := range seg.blocks {
-			if bi.Kind != KindCaptures {
-				continue
-			}
-			raw, err := decodeBlock(datas[i][bi.Off:bi.Off+bi.Len], bi)
-			if err != nil {
-				return fmt.Errorf("store: compact: segment %s: %w", inputs[i].Name, err)
-			}
-			err = decodeCaptureBlock(raw, func(c CaptureRow, slice int) error {
-				sb.addCapture(c, slice)
-				return nil
-			})
-			if err != nil {
-				return fmt.Errorf("store: compact: segment %s: %w", inputs[i].Name, err)
-			}
+	sb := s.builder()
+	sb.canonGrabs = true
+	for _, si := range inputs {
+		for _, c := range s.pending[si.Name].caps {
+			sb.addCapture(c, si.SliceLo)
 		}
 	}
 	sb.flushCaptures()
-	for i, seg := range segs {
-		for _, bi := range seg.blocks {
-			if bi.Kind != KindResults {
-				continue
-			}
-			raw, err := decodeBlock(datas[i][bi.Off:bi.Off+bi.Len], bi)
-			if err != nil {
-				return fmt.Errorf("store: compact: segment %s: %w", inputs[i].Name, err)
-			}
-			err = decodeResultBlock(raw, func(r *zgrab.Result, slice int) error {
-				return sb.addResult(r, slice)
-			})
-			if err != nil {
-				return fmt.Errorf("store: compact: segment %s: %w", inputs[i].Name, err)
+	for _, si := range inputs {
+		for _, r := range s.pending[si.Name].results {
+			if err := sb.addResult(r, si.SliceLo); err != nil {
+				return err
 			}
 		}
 	}
@@ -103,6 +83,7 @@ func (s *Store) compact(inputs []SegmentInfo) error {
 		if err := os.Rename(path, path+retiredSuffix); err != nil {
 			return fmt.Errorf("store: compact: %w", err)
 		}
+		delete(s.pending, si.Name)
 	}
 	retired := make(map[string]bool, len(inputs))
 	for _, si := range inputs {
@@ -134,4 +115,32 @@ func (s *Store) compact(inputs []SegmentInfo) error {
 		s.met.BytesWritten.Add(int64(len(data)))
 	}
 	return s.persistManifest()
+}
+
+// loadPending decodes an L0 segment's rows into s.pending. Every row of
+// an L0 segment belongs to its one slice.
+func (s *Store) loadPending(si SegmentInfo) error {
+	data, err := os.ReadFile(filepath.Join(s.dir, si.Name))
+	if err != nil {
+		return err
+	}
+	var rows segRows
+	inSlice := func(slice int) error {
+		if slice != si.SliceLo {
+			return errCorrupt
+		}
+		return nil
+	}
+	err = DecodeSegment(data, func(c CaptureRow, slice int) error {
+		rows.caps = append(rows.caps, c)
+		return inSlice(slice)
+	}, func(r *zgrab.Result, slice int) error {
+		rows.results = append(rows.results, r)
+		return inSlice(slice)
+	})
+	if err != nil {
+		return err
+	}
+	s.pending[si.Name] = rows
+	return nil
 }

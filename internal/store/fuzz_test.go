@@ -45,8 +45,8 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(full)
 	f.Add(seedSegment(f, 1, 0))
 	f.Add(seedSegment(f, 0, 3))
-	f.Add(full[:len(full)/2])     // truncated tail
-	f.Add([]byte(segMagic))       // header only
+	f.Add(full[:len(full)/2]) // truncated tail
+	f.Add([]byte(segMagic))   // header only
 	f.Add([]byte("not a segment"))
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/3] ^= 0x40

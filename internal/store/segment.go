@@ -123,6 +123,11 @@ type segBuilder struct {
 	fl    *flate.Writer
 	// block-local dicts, reset per block
 	bdict1, bdict2, bdict3 dict
+
+	// canonGrabs writes each grab payload as a decoded copy of the row
+	// would re-encode it. Compaction sets it, so a merge of rows held
+	// since their append matches one of rows read back from disk.
+	canonGrabs bool
 }
 
 func newSegBuilder() *segBuilder {
@@ -132,6 +137,22 @@ func newSegBuilder() *segBuilder {
 		sliceLo: -1,
 		sliceHi: -1,
 	}
+}
+
+// reset readies the builder for a new segment, keeping its buffers,
+// dictionaries and flate writer.
+func (sb *segBuilder) reset() {
+	sb.buf = append(sb.buf[:0], segMagic...)
+	sb.blocks = sb.blocks[:0]
+	sb.mods.reset()
+	sb.vans.reset()
+	clear(sb.keys)
+	sb.sliceLo, sb.sliceHi = -1, -1
+	sb.rows = 0
+	sb.capRows, sb.capSlices = sb.capRows[:0], sb.capSlices[:0]
+	clear(sb.resRows)
+	sb.resRows, sb.resSlices = sb.resRows[:0], sb.resSlices[:0]
+	sb.canonGrabs = false
 }
 
 // noteRow folds a row's slice and address into the segment-level
@@ -312,6 +333,18 @@ func (sb *segBuilder) flushResults() error {
 		g, err := r.AppendGrabs(scratch[:0])
 		if err != nil {
 			return err
+		}
+		// encoding/json writes invalid UTF-8 as \ufffd, which decodes to
+		// U+FFFD and re-encodes raw: only such payloads change when a
+		// row is read back, so only they take the round trip.
+		if sb.canonGrabs && bytes.Contains(g, []byte(`\ufffd`)) {
+			var back zgrab.Result
+			if err := back.SetGrabs(g); err != nil {
+				return err
+			}
+			if g, err = back.AppendGrabs(nil); err != nil {
+				return err
+			}
 		}
 		scratch = g
 		body = binary.AppendUvarint(body, uint64(len(g)))

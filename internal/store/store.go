@@ -51,6 +51,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -150,14 +151,23 @@ type Store struct {
 	opt Options
 	met *Metrics
 
-	// mu guards man and nextSlice. Writers (AppendSlice, compaction,
-	// ResetTo, Seal) take it exclusively; Scan/Manifest/Rows take the
-	// read side just long enough to snapshot the segment list.
+	// mu guards man, nextSlice, sb and pending. Writers (AppendSlice,
+	// compaction, ResetTo, Seal) take it exclusively; Scan/Manifest/Rows
+	// take the read side just long enough to snapshot the segment list.
 	mu  sync.RWMutex
 	man Manifest
 	// nextSlice is the lowest slice id AppendSlice accepts — appends
 	// are strictly ordered, like the collection slices that feed them.
 	nextSlice int
+	// sb is the segment builder every write reuses: reset between
+	// segments, it keeps its buffers, dictionaries and flate writer.
+	sb *segBuilder
+	// pending holds, by segment name, the rows of live L0 segments
+	// awaiting compaction, which merges them from here instead of
+	// reading them back. Appends add their rows; an L0 segment this
+	// process did not write (it predates Open or ResetTo) is decoded
+	// into it when a compaction first needs it.
+	pending map[string]segRows
 
 	// feet and blocks are the read path's caches (see cache.go). Either
 	// may be nil (disabled).
@@ -175,7 +185,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opt: opt}
+	s := &Store{dir: dir, opt: opt, sb: newSegBuilder(), pending: make(map[string]segRows)}
 	if opt.Obs != nil {
 		s.met = NewMetrics(opt.Obs)
 	}
@@ -300,7 +310,9 @@ func (s *Store) Dir() string { return s.dir }
 // capture events and scan results (in that block order), then runs the
 // compaction policy. Empty slices write no segment but still drive
 // compaction, so the segment layout is a pure function of the appended
-// data. Slices must arrive in strictly increasing order.
+// data. Slices must arrive in strictly increasing order. The store
+// copies both slices but keeps the result pointers until the segment
+// is compacted, so the results must not be mutated after the call.
 func (s *Store) AppendSlice(slice int, caps []CaptureRow, results []*zgrab.Result) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -314,7 +326,7 @@ func (s *Store) appendSlice(slice int, caps []CaptureRow, results []*zgrab.Resul
 	}
 	s.nextSlice = slice + 1
 	if len(caps) > 0 || len(results) > 0 {
-		sb := newSegBuilder()
+		sb := s.builder()
 		for _, c := range caps {
 			sb.addCapture(c, slice)
 		}
@@ -331,13 +343,24 @@ func (s *Store) appendSlice(slice int, caps []CaptureRow, results []*zgrab.Resul
 		if err := s.writeSegment(name, 0, sb); err != nil {
 			return err
 		}
+		if s.opt.compactEvery() > 0 {
+			s.pending[name] = segRows{slices.Clone(caps), slices.Clone(results)}
+		}
 	}
 	return s.maybeCompact(slice)
 }
 
+// builder returns the store's segment builder, reset for a new
+// segment. Callers hold mu.
+func (s *Store) builder() *segBuilder {
+	s.sb.reset()
+	return s.sb
+}
+
 // AppendResults appends a batch of scan results outside a sliced
 // campaign (e.g. a standalone v6scan run): each call becomes one
-// segment on the next synthetic slice.
+// segment on the next synthetic slice. As with AppendSlice, the
+// results must not be mutated after the call.
 func (s *Store) AppendResults(results []*zgrab.Result) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -429,6 +452,7 @@ func (s *Store) ResetTo(m Manifest) error {
 		}
 	}
 	s.man = m.clone()
+	clear(s.pending)
 	if s.man.Version == 0 {
 		s.man.Version = 1
 	}

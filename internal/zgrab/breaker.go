@@ -39,9 +39,9 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 
 // Breaker states.
 const (
-	breakerClosed int32 = iota // normal operation
-	breakerOpen                // shedding: targets are skipped
-	breakerProbing             // probation slice: admit everything, judge at the boundary
+	breakerClosed  int32 = iota // normal operation
+	breakerOpen                 // shedding: targets are skipped
+	breakerProbing              // probation slice: admit everything, judge at the boundary
 )
 
 // breakerEntry is one prefix's state. Outcome counters for the current

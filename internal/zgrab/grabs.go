@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/netip"
+	"strconv"
 	"sync"
 	"time"
 
@@ -119,13 +120,13 @@ type CoAPGrab struct {
 type JSONLWriter struct {
 	mu  sync.Mutex
 	w   io.Writer
-	enc *json.Encoder
+	buf []byte
 	n   int
 }
 
 // NewJSONLWriter wraps w.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{w: w, enc: json.NewEncoder(w)}
+	return &JSONLWriter{w: w}
 }
 
 // Write emits one result line.
@@ -133,7 +134,13 @@ func (jw *JSONLWriter) Write(r *Result) error {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
 	jw.n++
-	return jw.enc.Encode(r)
+	b, err := r.AppendJSON(jw.buf[:0])
+	if err != nil {
+		return err
+	}
+	jw.buf = append(b, '\n')
+	_, err = jw.w.Write(jw.buf)
+	return err
 }
 
 // Count returns how many results were written.
@@ -141,6 +148,94 @@ func (jw *JSONLWriter) Count() int {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
 	return jw.n
+}
+
+// AppendJSON appends the result's JSON object to b. The bytes equal
+// json.Marshal(r), so a line of JSONL is AppendJSON plus '\n'. The
+// envelope is written directly; encoding/json still handles each
+// grab payload, any string that needs escaping, and a time
+// MarshalJSON rejects, whose error AppendJSON returns unchanged.
+func (r *Result) AppendJSON(b []byte) ([]byte, error) {
+	n0 := len(b)
+	b = append(b, `{"ip":"`...)
+	ip := len(b)
+	b = r.IP.AppendTo(b)
+	if !jsonPlain(b[ip:]) {
+		b = appendJSONString(b[:ip-1], string(b[ip:]))
+	} else {
+		b = append(b, '"')
+	}
+	b = append(b, `,"module":`...)
+	b = appendJSONString(b, r.Module)
+	b = append(b, `,"port":`...)
+	b = strconv.AppendUint(b, uint64(r.Port), 10)
+	b = append(b, `,"time":"`...)
+	ts := len(b)
+	b = r.Time.AppendFormat(b, time.RFC3339Nano)
+	if !rfc3339OK(b[ts:]) {
+		_, err := json.Marshal(r)
+		return b[:n0], err
+	}
+	b = append(b, `","status":`...)
+	b = appendJSONString(b, string(r.Status))
+	if r.Error != "" {
+		b = append(b, `,"error":`...)
+		b = appendJSONString(b, r.Error)
+	}
+	if r.Attempts != 0 {
+		b = append(b, `,"attempts":`...)
+		b = strconv.AppendInt(b, int64(r.Attempts), 10)
+	}
+	// The grab fields end the Result struct in grabPayload's order, so
+	// the payload object with its '{' turned into ',' ends the line.
+	g := len(b)
+	out, err := r.AppendGrabs(b)
+	if err != nil {
+		return b[:n0], err
+	}
+	if b = out; len(b) == g {
+		return append(b, '}'), nil
+	}
+	b[g] = ','
+	return b, nil
+}
+
+// rfc3339OK repeats the checks time.Time.MarshalJSON applies to its
+// RFC 3339 text: a four-digit year and a zone offset under 24 hours.
+func rfc3339OK(ts []byte) bool {
+	if len(ts) < len("2006-01-02T15:04:05Z") || ts[4] != '-' {
+		return false
+	}
+	if ts[len(ts)-1] == 'Z' {
+		return true
+	}
+	c := ts[len(ts)-len("Z07:00")]
+	hh := 10*int(ts[len(ts)-5]-'0') + int(ts[len(ts)-4]-'0')
+	return !('0' <= c && c <= '9') && hh < 24
+}
+
+// jsonPlain reports whether s goes into a JSON string unchanged:
+// printable ASCII other than the quote, the backslash and the three
+// characters encoding/json escapes for HTML.
+func jsonPlain[S string | []byte](s S) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// appendJSONString appends s as encoding/json writes a string.
+func appendJSONString(b []byte, s string) []byte {
+	if !jsonPlain(s) {
+		q, _ := json.Marshal(s) // a string always marshals
+		return append(b, q...)
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // DecodeJSONL streams results from a JSONL reader through fn, one at
